@@ -9,8 +9,7 @@ at first but lets the support bend during training.
 """
 import numpy as np
 
-from nre import Dataset, build_tree, extract_rules, forward, init_deep_from_rule, init_from_rule
-from nre.neural import forward_batch
+from nre import Dataset, RuleBank, build_tree, extract_rules, init_deep_from_rule, init_from_rule
 from nre.rules import rule_activations, rule_to_str
 
 rng = np.random.default_rng(3)
@@ -30,16 +29,17 @@ print("  biases:", shallow.b1, " output coefficient c =", shallow.c)
 deep = init_deep_from_rule(rule, tree.feature_set)
 print("\ndeep variant second layer starts as the identity:\n", deep.w2)
 
-# the forward trace shows the min pool picking the least confident unit
-probe = data.features[0]
-tr = forward(shallow, probe)
+# a forward pass shows the min pool picking the least confident unit
+tf = list(tree.feature_set)
+probe = data.features[:1, tf]
+fp = RuleBank([shallow]).forward(probe)
 print("\nforward at a training point:")
-print("  unit activations:", tr.acts1)
-print("  pooled unit:", tr.argmin_index, " value:", tr.value)
+print("  unit activations:", np.maximum(0.0, shallow.w1 @ probe[0] + shallow.b1))
+print("  pooled unit:", np.argmin(fp.final[0, :, 0]), " value:", fp.scores[0])
 
 # supports coincide with the hard rule on random probes
 probes = rng.uniform(-3, 3, size=(10_000, 3))
 hard = rule_activations(rule, probes) != 0
 for name, neural in [("shallow", shallow), ("deep", deep)]:
-    soft = forward_batch(neural, probes).values != 0
+    soft = RuleBank([neural]).scores(probes[:, tf]) != 0
     print(f"support agreement vs hard rule ({name}): {np.mean(hard == soft):.4%}")

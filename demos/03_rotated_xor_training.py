@@ -7,11 +7,9 @@ even go non-convex. This script trains shallow and deep ensembles and writes
 SVG snapshots of a single rule's support at initialization and after training.
 """
 import os
+from dataclasses import replace
 
-import numpy as np
-
-from nre import TrainConfig, evaluate, gen_rotated_xor, nre_train
-from nre.neural import forward_batch
+from nre import TrainConfig, evaluate, gen_rotated_xor, nre_score_batch, nre_train
 from nre.plotting import data_bounds, render_decision_regions
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "output")
@@ -26,11 +24,9 @@ snapshots = {}
 
 def remember(stage, payload):
     if stage == "train_epoch" and payload["epoch"] in (0, 150, 900):
-        model = payload["model"]
-        rule = model.rules[0]
-        std = model.standardization
+        first_rule = replace(payload["model"], rules=payload["model"].rules[:1])
         snapshots[payload["epoch"]] = render_decision_regions(
-            lambda pts: forward_batch(rule, (pts - std.means) / std.stds).values,
+            lambda pts: nre_score_batch(first_rule, pts),
             train.features,
             train.labels,
             bounds=bounds,

@@ -11,11 +11,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import data as data_mod
 from .data import (
     Dataset,
     fetch_pmlb,
@@ -26,7 +25,6 @@ from .data import (
     stratified_kfold,
 )
 from .ensemble import (
-    NREModel,
     TrainConfig,
     evaluate,
     load_model,
@@ -35,7 +33,6 @@ from .ensemble import (
     save_model,
 )
 from .errors import DataError, ModelFormatError, UsageError
-from .neural import forward_batch
 from .plotting import data_bounds, render_decision_regions
 from .stats import (
     format_comparison_report,
@@ -341,19 +338,10 @@ def cmd_plot(args) -> int:
             raise DataError(
                 f"rule index {args.rule_index} out of range (model has {len(model.rules)} rules)"
             )
-        rule = model.rules[args.rule_index]
-        std = model.standardization
-
-        def score_fn(pts):
-            return forward_batch(rule, (pts - std.means) / std.stds).values
-
-    else:
-
-        def score_fn(pts):
-            return nre_score_batch(model, pts)
+        model = replace(model, rules=[model.rules[args.rule_index]])
 
     svg = render_decision_regions(
-        score_fn,
+        lambda pts: nre_score_batch(model, pts),
         dataset.features,
         dataset.labels,
         bounds=bounds,

@@ -20,15 +20,10 @@ from .errors import DataError, ModelFormatError
 from .neural import (
     AdamState,
     NeuralRule,
+    RuleBank,
     adam_step,
-    backward_batch,
-    forward,
-    forward_batch,
     init_deep_from_rule,
     init_from_rule,
-    pack_grads,
-    pack_params,
-    unpack_params,
 )
 from .rules import extract_rules, rank_rules
 from .tree import DecisionTree, build_tree
@@ -77,7 +72,12 @@ class TrainConfig:
 
 @dataclass
 class NREModel:
-    """Deployable artifact: standardizer + trained neural rules + provenance."""
+    """Deployable artifact: standardizer + trained neural rules + provenance.
+
+    The model computes with a :class:`RuleBank` built from the given rules;
+    ``rules`` then holds the bank's view rules, which always show its current
+    parameters.
+    """
 
     standardization: StandardizationParams
     rules: list[NeuralRule]
@@ -85,6 +85,11 @@ class NREModel:
     source_tree: DecisionTree
     degenerate: bool = False
     history: list[tuple[int, float, float]] = field(default_factory=list, repr=False)
+    bank: RuleBank = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.bank = RuleBank(self.rules)
+        self.rules = self.bank.rules
 
     @property
     def tree_features(self) -> tuple[int, ...]:
@@ -118,54 +123,26 @@ def logistic_loss(u, y):
     return loss, dloss
 
 
-def model_pack(rules: list[NeuralRule]) -> np.ndarray:
-    return np.concatenate([pack_params(r) for r in rules])
-
-
-def model_unpack(rules: list[NeuralRule], flat: np.ndarray) -> None:
-    i = 0
-    for r in rules:
-        n = r.n_params()
-        unpack_params(r, flat[i : i + n])
-        i += n
-
-
-def ensemble_scores(rules: list[NeuralRule], features: np.ndarray) -> np.ndarray:
-    scores = np.zeros(features.shape[0])
-    for r in rules:
-        scores += forward_batch(r, features).values
-    return scores
-
-
-def model_loss_and_grad(
-    rules: list[NeuralRule], features: np.ndarray, labels: np.ndarray, l2: float = 0.0
-):
+def model_loss_and_grad(bank: RuleBank, X_t: np.ndarray, labels: np.ndarray, l2: float = 0.0):
     """Mean logistic loss of the summed rule outputs plus optional L2 shrinkage.
 
-    Returns the objective value and its gradient over the flat parameter
-    vector. With shrinkage l2=rho the gradient is the data gradient plus
-    2*rho*params.
+    ``X_t`` holds the batch's tree-feature columns. Returns the objective value
+    and its gradient over ``bank.params``; the gradient is ``bank.grad``, which
+    the next call overwrites. With shrinkage l2=rho the gradient is the data
+    gradient plus 2*rho*params.
     """
-    N = features.shape[0]
-    traces = [forward_batch(r, features) for r in rules]
-    scores = np.zeros(N)
-    for bt in traces:
-        scores += bt.values
-    losses, dscores = logistic_loss(scores, labels)
-    upstream = dscores / N
-    grad = np.concatenate(
-        [pack_grads(r, backward_batch(r, bt, upstream)) for r, bt in zip(rules, traces)]
-    )
+    fp = bank.forward(X_t)
+    losses, dscores = logistic_loss(fp.scores, labels)
+    grad = bank.backward(X_t, fp, dscores / X_t.shape[0])
     loss = float(losses.mean())
     if l2 > 0.0:
-        params = model_pack(rules)
-        grad = grad + 2.0 * l2 * params
-        loss += l2 * float(params @ params)
+        grad += 2.0 * l2 * bank.params
+        loss += l2 * float(bank.params @ bank.params)
     return loss, grad
 
 
-def _eval_rules(rules, features, labels):
-    scores = ensemble_scores(rules, features)
+def _eval_bank(bank, X_t, labels):
+    scores = bank.scores(X_t)
     losses, _ = logistic_loss(scores, labels)
     preds = np.where(scores >= 0.0, 1, -1)
     return float(losses.mean()), float(np.mean(preds != labels))
@@ -211,8 +188,9 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
     emit("neural_init", nrules)
 
     model = NREModel(params, nrules, cfg, tree)
-    X, y = ds.features, ds.labels
-    N = X.shape[0]
+    bank = model.bank
+    X_t, y = ds.features[:, list(bank.tree_features)], ds.labels
+    N = X_t.shape[0]
     rng = np.random.default_rng(cfg.seed)
 
     if cfg.early_stop_patience is not None:
@@ -227,61 +205,63 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
     batch = cfg.batch_size or (n_train if n_train <= FULL_BATCH_LIMIT else 256)
     batch = min(batch, n_train)
 
-    flat = model_pack(nrules)
-    state = AdamState.for_params(flat.size, alpha=cfg.learning_rate)
+    state = AdamState.for_params(bank.params.size, alpha=cfg.learning_rate)
+    X_train, y_train = X_t[train_idx], y[train_idx]
 
-    loss0, err0 = _eval_rules(nrules, X[train_idx], y[train_idx])
+    loss0, err0 = _eval_bank(bank, X_train, y_train)
     model.history = [(0, loss0, err0)]
     emit("train_epoch", {"epoch": 0, "loss": loss0, "error": err0, "model": model})
 
     best_val = np.inf
-    best_flat = None
+    best_params = None
     stale = 0
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n_train)
         for start in range(0, n_train, batch):
             bidx = train_idx[order[start : start + batch]]
-            _, grad = model_loss_and_grad(nrules, X[bidx], y[bidx], l2=cfg.l2)
-            flat = adam_step(flat, grad, state)
-            model_unpack(nrules, flat)
-        loss_e, err_e = _eval_rules(nrules, X[train_idx], y[train_idx])
+            _, grad = model_loss_and_grad(bank, X_t[bidx], y[bidx], l2=cfg.l2)
+            adam_step(bank.params, grad, state)
+        loss_e, err_e = _eval_bank(bank, X_train, y_train)
         model.history.append((epoch, loss_e, err_e))
         emit("train_epoch", {"epoch": epoch, "loss": loss_e, "error": err_e, "model": model})
         if val_idx is not None:
-            val_loss, _ = _eval_rules(nrules, X[val_idx], y[val_idx])
+            val_loss, _ = _eval_bank(bank, X_t[val_idx], y[val_idx])
             if val_loss < best_val:
-                best_val, best_flat, stale = val_loss, flat.copy(), 0
+                best_val, best_params, stale = val_loss, bank.params.copy(), 0
             else:
                 stale += 1
                 if stale >= cfg.early_stop_patience:
                     break
-    if val_idx is not None and best_flat is not None:
-        model_unpack(nrules, best_flat)
+    if best_params is not None:
+        bank.params[:] = best_params
     emit("done", model)
     return model
 
 
 def nre_score(m: NREModel, x) -> float:
-    """Ensemble score of one raw point: standardize, then sum all rule outputs."""
+    """Ensemble score of one raw point: the batch score of that one row."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != m.standardization.means.shape:
         raise DataError(f"point has shape {x.shape}, model expects {m.standardization.means.shape}")
-    xs = (x - m.standardization.means) / m.standardization.stds
-    if not m.rules:
-        return m.constant_score
-    return float(sum(forward(r, xs).value for r in m.rules))
+    return float(nre_score_batch(m, x[None, :])[0])
 
 
 def nre_score_batch(m: NREModel, features: np.ndarray) -> np.ndarray:
+    """Ensemble scores of raw rows: standardize, then sum all rule outputs.
+
+    A row holding a NaN or an infinity is rejected with DataError.
+    """
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if X.shape[1] != m.standardization.means.shape[0]:
-        raise DataError(
-            f"features have {X.shape[1]} columns, model expects {m.standardization.means.shape[0]}"
-        )
-    Xs = (X - m.standardization.means) / m.standardization.stds
+    std = m.standardization
+    if X.ndim != 2 or X.shape[1] != std.means.shape[0]:
+        raise DataError(f"features have shape {X.shape}, model expects {std.means.size} columns")
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise DataError(f"row {np.flatnonzero(~finite)[0]} has a non-finite value")
     if not m.rules:
         return np.full(X.shape[0], m.constant_score)
-    return ensemble_scores(m.rules, Xs)
+    tf = list(m.tree_features)
+    return m.bank.scores((X[:, tf] - std.means[tf]) / std.stds[tf])
 
 
 def nre_predict(m: NREModel, x) -> int:
@@ -338,6 +318,7 @@ def save_model(m: NREModel, path: str) -> None:
 
 
 def load_model(path: str) -> NREModel:
+    """Read a model file written by save_model; any malformed content is a ModelFormatError."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -358,7 +339,11 @@ def load_model(path: str) -> NREModel:
             np.array(payload["standardization"]["means"], dtype=np.float64),
             np.array(payload["standardization"]["stds"], dtype=np.float64),
         )
+        if std.means.ndim != 1 or std.stds.shape != std.means.shape:
+            raise ValueError("standardization means and stds must be lists of one length")
         tf = tuple(payload["tree_features"])
+        if not all(isinstance(f, int) and 0 <= f < std.means.size for f in tf):
+            raise ValueError(f"tree features {tf} do not index the {std.means.size} columns")
         rules = []
         for rp in payload["rules"]:
             w1 = np.array([u["w"] for u in rp["layer1"]], dtype=np.float64)
@@ -371,6 +356,6 @@ def load_model(path: str) -> NREModel:
             rules.append(NeuralRule(tf, w1, b1, w2, b2, float(rp["c"])))
         tree = DecisionTree.from_dict(payload["source_tree"])
         cfg = TrainConfig(**payload["config"])
-    except (KeyError, TypeError, IndexError) as e:
-        raise ModelFormatError(f"model file is missing fields: {e}") from e
-    return NREModel(std, rules, cfg, tree, degenerate=not rules)
+        return NREModel(std, rules, cfg, tree, degenerate=not rules)
+    except (KeyError, TypeError, IndexError, ValueError) as e:
+        raise ModelFormatError(f"malformed model file: {e}") from e

@@ -6,24 +6,43 @@ source tree. A deep rule stacks a second, identity-initialized hidden layer of
 the same width, which lets the support grow non-convex during training. The
 min pool routes each sample's gradient through its least confident unit only,
 and samples outside the support contribute exactly zero gradient.
+
+All rules of a model are computed together by a :class:`RuleBank`, which lays
+them out as fixed-width padded layers over one flat parameter vector, the way
+Neural Random Forests (Biau, Scornet & Welbl 2019) lay out tree-derived units.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .rules import ConjunctiveRule
 
+# Cells (rules x unit slots x rows) per forward pass when scoring: bounds each
+# temporary to 1 MB however many rows are scored. On a 2-vCPU Xeon, scoring
+# 20k rows was fastest at 256-512 rows per pass for 48 rules of 8 slots and at
+# 1024 or more for 8 rules of 4 slots; this budget gives 341 and 4096.
+SCORE_CHUNK_CELLS = 1 << 17
+
 
 @dataclass
 class NeuralRule:
+    """One rule's unpadded parameters.
+
+    In a :class:`RuleBank` (and so in every ``NREModel.rules``) the arrays are
+    views into the bank's parameter vector and ``c`` is a 0-d array view, so
+    the rule always shows the bank's current values.
+    """
+
     tree_features: tuple[int, ...]
     w1: np.ndarray  # (H, q)
     b1: np.ndarray  # (H,)
     w2: np.ndarray | None  # (H, H) for deep rules
     b2: np.ndarray | None  # (H,)
-    c: float
+    c: float | np.ndarray
 
     @property
     def deep(self) -> bool:
@@ -32,35 +51,6 @@ class NeuralRule:
     @property
     def n_units(self) -> int:
         return self.w1.shape[0]
-
-    def n_params(self) -> int:
-        n = self.w1.size + self.b1.size + 1
-        if self.deep:
-            n += self.w2.size + self.b2.size
-        return n
-
-
-@dataclass
-class ForwardTrace:
-    """Intermediates of one forward pass, kept for backpropagation."""
-
-    x_t: np.ndarray
-    preacts1: np.ndarray
-    acts1: np.ndarray
-    preacts2: np.ndarray | None
-    acts2: np.ndarray | None
-    argmin_index: int
-    value: float
-
-
-@dataclass
-class RuleGradients:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray | None
-    b2: np.ndarray | None
-    c: float
-    dx_t: np.ndarray | None = None  # gradient w.r.t. the gathered input, tests only
 
 
 @dataclass
@@ -115,107 +105,124 @@ def init_deep_from_rule(rule: ConjunctiveRule, tree_features) -> NeuralRule:
     return NeuralRule(tuple(tree_features), w1, b1, np.eye(H), np.zeros(H), c=rule.c)
 
 
-def forward(n: NeuralRule, x) -> ForwardTrace:
-    """Evaluate the rule at one point; the trace carries everything backward needs."""
-    x_t = np.asarray(x, dtype=np.float64)[list(n.tree_features)]
-    pre1 = n.w1 @ x_t + n.b1
-    act1 = np.maximum(0.0, pre1)
-    if n.deep:
-        pre2 = n.w2 @ act1 + n.b2
-        act2 = np.maximum(0.0, pre2)
-        final = act2
-    else:
-        pre2 = act2 = None
-        final = act1
-    k = int(np.argmin(final))  # first occurrence = smallest index on ties
-    return ForwardTrace(x_t, pre1, act1, pre2, act2, k, float(n.c * final[k]))
+class BankPass(NamedTuple):
+    """Intermediates of one bank forward pass over N rows, kept for backward."""
+
+    scores: np.ndarray  # (N,) summed rule outputs
+    pooled: np.ndarray  # (R, N) pooled minimum; 0 outside the rule's support
+    final: np.ndarray  # (R, H, N) last-layer activations, +inf at padded units
+    act1: np.ndarray | None  # (R, H, N) first-layer activations of deep rules
 
 
-def backward(n: NeuralRule, trace: ForwardTrace, upstream: float) -> RuleGradients:
-    """Gradients of ``upstream * value`` for every parameter plus the input.
+class RuleBank:
+    """The rules of one model as padded layers over one flat float64 vector.
 
-    Outside the support (pooled minimum <= 0) everything is exactly zero.
-    Inside, only the argmin unit carries gradient; for deep rules it fans out
-    to first-layer units with positive preactivation.
+    The rules share their tree features (q of them). Rule r's h_r units fill
+    the first h_r of H = max h_r unit slots. ``params`` holds, as views, W1
+    (R, H, q), B1 (R, H), then for deep rules W2 (R, H, H) and B2 (R, H), then
+    c (R); ``grad`` has the same layout. Padded entries are zero and padded
+    units are set to +inf before the min pool, so they never win it: they get
+    exactly zero gradient, zero L2 and a zero Adam step, and stay zero.
+
+    The bank copies the given rules; ``rules`` holds new rules whose arrays are
+    views into ``params``. A deep and a shallow rule cannot share a bank.
     """
-    gw1 = np.zeros_like(n.w1)
-    gb1 = np.zeros_like(n.b1)
-    gw2 = np.zeros_like(n.w2) if n.deep else None
-    gb2 = np.zeros_like(n.b2) if n.deep else None
-    dx_t = np.zeros_like(trace.x_t)
-    final = trace.acts2 if n.deep else trace.acts1
-    k = trace.argmin_index
-    a_min = final[k]
-    if a_min <= 0.0:
-        return RuleGradients(gw1, gb1, gw2, gb2, 0.0, dx_t)
-    dc = upstream * a_min
-    g = upstream * n.c  # d(upstream * value) / d(final act of unit k)
-    if n.deep:
-        gw2[k] = g * trace.acts1
-        gb2[k] = g
-        dpre1 = g * n.w2[k] * (trace.preacts1 > 0.0)
-        gw1 += dpre1[:, None] * trace.x_t
-        gb1 += dpre1
-        dx_t = n.w1.T @ dpre1
-    else:
-        gw1[k] = g * trace.x_t
-        gb1[k] = g
-        dx_t = g * n.w1[k]
-    return RuleGradients(gw1, gb1, gw2, gb2, dc, dx_t)
 
+    def __init__(self, rules):
+        rules = list(rules)
+        self.tree_features = tuple(rules[0].tree_features) if rules else ()
+        self.deep = bool(rules) and rules[0].deep
+        q = len(self.tree_features)
+        widths = [r.n_units for r in rules]
+        for r, h in zip(rules, widths):
+            if tuple(r.tree_features) != self.tree_features:
+                raise ValueError("all rules of a bank must share their tree features")
+            if r.deep != self.deep:
+                raise ValueError("a bank cannot mix shallow and deep rules")
+            if h < 1:
+                raise ValueError("a rule needs at least one unit")
+            if r.w1.shape != (h, q) or r.b1.shape != (h,):
+                raise ValueError(f"first layer must be {h} x {q} weights and {h} biases")
+            if self.deep and (r.w2.shape != (h, h) or r.b2.shape != (h,)):
+                raise ValueError(f"second layer must be {h} x {h} weights and {h} biases")
+        R, H = len(rules), max(widths, default=0)
+        shapes = [(R, H, q), (R, H)] + ([(R, H, H), (R, H)] if self.deep else []) + [(R,)]
+        size = sum(math.prod(s) for s in shapes)
+        self.params = np.zeros(size)
+        self.grad = np.zeros(size)
+        self.W1, self.B1, *W2B2, self.c = _views(self.params, shapes)
+        self.W2, self.B2 = W2B2 or (None, None)
+        self._gW1, self._gB1, *self._gW2B2, self._gc = _views(self.grad, shapes)
+        self._pad = np.nonzero(np.arange(H) >= np.array(widths, dtype=int)[:, None])
+        self.rules = []
+        for i, (r, h) in enumerate(zip(rules, widths)):
+            w2 = b2 = None
+            if self.deep:
+                w2, b2 = self.W2[i, :h, :h], self.B2[i, :h]
+                w2[...], b2[...] = r.w2, r.b2
+            view = NeuralRule(
+                self.tree_features, self.W1[i, :h], self.B1[i, :h], w2, b2, self.c[i, ...]
+            )
+            view.w1[...], view.b1[...], view.c[...] = r.w1, r.b1, r.c
+            self.rules.append(view)
 
-@dataclass
-class BatchTrace:
-    x_t: np.ndarray  # (N, q)
-    pre1: np.ndarray  # (N, H)
-    act1: np.ndarray
-    pre2: np.ndarray | None
-    act2: np.ndarray | None
-    argmin_index: np.ndarray  # (N,)
-    values: np.ndarray  # (N,)
-
-
-def forward_batch(n: NeuralRule, features: np.ndarray) -> BatchTrace:
-    X_t = np.asarray(features, dtype=np.float64)[:, list(n.tree_features)]
-    pre1 = X_t @ n.w1.T + n.b1
-    act1 = np.maximum(0.0, pre1)
-    if n.deep:
-        pre2 = act1 @ n.w2.T + n.b2
-        act2 = np.maximum(0.0, pre2)
-        final = act2
-    else:
-        pre2 = act2 = None
+    def forward(self, X_t: np.ndarray) -> BankPass:
+        """Every rule on every row of X_t, the (N, q) tree-feature columns."""
+        act1 = np.matmul(self.W1, X_t.T)
+        act1 += self.B1[:, :, None]
+        np.maximum(act1, 0.0, out=act1)
         final = act1
-    ks = np.argmin(final, axis=1)
-    vals = n.c * final[np.arange(final.shape[0]), ks]
-    return BatchTrace(X_t, pre1, act1, pre2, act2, ks, vals)
+        if self.deep:
+            final = np.matmul(self.W2, act1)
+            final += self.B2[:, :, None]
+            np.maximum(final, 0.0, out=final)
+        final[self._pad] = np.inf
+        pooled = final.min(axis=1)
+        return BankPass(self.c @ pooled, pooled, final, act1 if self.deep else None)
+
+    def backward(self, X_t: np.ndarray, fp: BankPass, upstream: np.ndarray) -> np.ndarray:
+        """Gradient of sum_n upstream[n] * (summed rule outputs of row n).
+
+        Writes into and returns ``grad``. Outside a rule's support its
+        gradient is exactly zero; inside, only the pooled unit carries
+        gradient, and in deep rules it fans out to the first-layer units with
+        positive activation.
+        """
+        np.matmul(fp.pooled, upstream, out=self._gc)
+        g = np.where(fp.pooled > 0.0, upstream * self.c[:, None], 0.0)
+        argmin = np.argmin(fp.final, axis=1)  # the lowest index on ties
+        G = np.zeros_like(fp.final)
+        np.put_along_axis(G, argmin[:, None, :], g[:, None, :], axis=1)
+        if self.deep:
+            gW2, gB2 = self._gW2B2
+            np.matmul(G, fp.act1.transpose(0, 2, 1), out=gW2)
+            G.sum(axis=2, out=gB2)
+            G = np.matmul(self.W2.transpose(0, 2, 1), G)
+            G *= fp.act1 > 0.0
+        np.matmul(G, X_t, out=self._gW1)
+        G.sum(axis=2, out=self._gB1)
+        return self.grad
+
+    def scores(self, X_t: np.ndarray) -> np.ndarray:
+        """Summed rule outputs of each row of X_t, in chunks of SCORE_CHUNK_CELLS cells."""
+        out = np.empty(X_t.shape[0])
+        rows = max(1, SCORE_CHUNK_CELLS // max(1, self.B1.size))
+        for start in range(0, X_t.shape[0], rows):
+            out[start : start + rows] = self.forward(X_t[start : start + rows]).scores
+        return out
 
 
-def backward_batch(n: NeuralRule, bt: BatchTrace, upstream: np.ndarray) -> RuleGradients:
-    """Per-parameter gradients summed over the batch (no input gradient)."""
-    N = bt.x_t.shape[0]
-    rows = np.arange(N)
-    final = bt.act2 if n.deep else bt.act1
-    a_min = final[rows, bt.argmin_index]
-    gate = a_min > 0.0
-    dc = float(np.sum(upstream * a_min * gate))
-    gvec = np.where(gate, upstream * n.c, 0.0)
-    G = np.zeros_like(final)
-    G[rows, bt.argmin_index] = gvec
-    if n.deep:
-        gw2 = G.T @ bt.act1
-        gb2 = G.sum(axis=0)
-        dpre1 = (G @ n.w2) * (bt.pre1 > 0.0)
-        gw1 = dpre1.T @ bt.x_t
-        gb1 = dpre1.sum(axis=0)
-        return RuleGradients(gw1, gb1, gw2, gb2, dc)
-    gw1 = G.T @ bt.x_t
-    gb1 = G.sum(axis=0)
-    return RuleGradients(gw1, gb1, None, None, dc)
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    out, i = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        out.append(flat[i : i + n].reshape(shape))
+        i += n
+    return out
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.ndarray:
-    """One bias-corrected Adam update; mutates the state, returns new parameters."""
+    """One bias-corrected Adam update of ``params`` in place; mutates the state, returns params."""
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError("parameter, gradient and state shapes must agree")
     state.step += 1
@@ -223,43 +230,5 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.nda
     state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads**2
     m_hat = state.m / (1.0 - state.beta1**state.step)
     v_hat = state.v / (1.0 - state.beta2**state.step)
-    return params - state.alpha * m_hat / (np.sqrt(v_hat) + state.eps)
-
-
-# Flat parameter layout per rule: w1 row-major, b1, then w2 row-major, b2
-# (deep only), then c. Serialization and Adam state both rely on this order.
-
-def pack_params(n: NeuralRule) -> np.ndarray:
-    parts = [n.w1.ravel(), n.b1]
-    if n.deep:
-        parts += [n.w2.ravel(), n.b2]
-    parts.append(np.array([n.c]))
-    return np.concatenate(parts)
-
-
-def unpack_params(n: NeuralRule, flat: np.ndarray) -> None:
-    if flat.shape != (n.n_params(),):
-        raise ValueError(f"expected {n.n_params()} parameters, got {flat.shape}")
-    i = 0
-
-    def take(shape):
-        nonlocal i
-        size = int(np.prod(shape))
-        out = flat[i : i + size].reshape(shape)
-        i += size
-        return out
-
-    n.w1 = take(n.w1.shape).copy()
-    n.b1 = take(n.b1.shape).copy()
-    if n.deep:
-        n.w2 = take(n.w2.shape).copy()
-        n.b2 = take(n.b2.shape).copy()
-    n.c = float(flat[i])
-
-
-def pack_grads(n: NeuralRule, g: RuleGradients) -> np.ndarray:
-    parts = [g.w1.ravel(), g.b1]
-    if n.deep:
-        parts += [g.w2.ravel(), g.b2]
-    parts.append(np.array([g.c]))
-    return np.concatenate(parts)
+    params -= state.alpha * m_hat / (np.sqrt(v_hat) + state.eps)
+    return params

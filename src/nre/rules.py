@@ -62,16 +62,8 @@ def extract_rules(tree: DecisionTree) -> list[ConjunctiveRule]:
     return rules
 
 
-def rule_activate(r: ConjunctiveRule, x) -> float:
-    """c when every literal is strictly positive, else 0 (boundaries give 0)."""
-    for f, w, a in r.literals:
-        if w * x[f] + a <= 0.0:
-            return 0.0
-    return r.c
-
-
 def rule_activations(r: ConjunctiveRule, features: np.ndarray) -> np.ndarray:
-    """Vectorized rule_activate over the rows of a feature matrix."""
+    """Per row: c when every literal is strictly positive, else 0 (boundaries give 0)."""
     X = np.asarray(features, dtype=np.float64)
     active = np.ones(X.shape[0], dtype=bool)
     for f, w, a in r.literals:

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from nre.data import Dataset
-from nre.neural import NeuralRule, forward
+from nre.ensemble import model_loss_and_grad
+from nre.neural import NeuralRule, RuleBank
 from nre.tree import build_tree
+from reference_oracle import backward, forward
 
 
 def random_dataset(rng, n, p, label_rule=None):
@@ -40,6 +42,43 @@ def make_random_rule(rng, deep, H=3, q=2, tree_features=(0, 2)):
         w2 = b2 = None
     c = float(rng.normal()) or 1.0
     return NeuralRule(tuple(tree_features), w1, b1, w2, b2, c)
+
+
+def rule_pass(n, X):
+    """One rule's bank forward pass over the rows of X (all features, tree features gathered)."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    return RuleBank([n]).forward(X[:, list(n.tree_features)])
+
+
+def oracle_gradient(rules, X, upstream):
+    """Sum over rows of the oracle's gradients of upstream[n] * (rule outputs at row n).
+
+    Returned in the layout of a bank of the same rules, padding included.
+    """
+    total = RuleBank(rules)
+    total.params[:] = 0.0
+    for x, u in zip(X, upstream):
+        for r, view in zip(rules, total.rules):
+            g = backward(r, forward(r, x), float(u))
+            view.w1 += g.w1
+            view.b1 += g.b1
+            if r.deep:
+                view.w2 += g.w2
+                view.b2 += g.b2
+            view.c += g.c
+    return total.params
+
+
+def fd_loss_gradient(bank, X_t, y, h=1e-5):
+    """Central differences of the training loss, bumping the bank vector in place."""
+    fd = np.zeros_like(bank.params)
+    for i in range(bank.params.size):
+        saved = bank.params[i]
+        for sign in (+1, -1):
+            bank.params[i] = saved + sign * h
+            fd[i] += sign * model_loss_and_grad(bank, X_t, y)[0]
+        bank.params[i] = saved
+    return fd / (2 * h)
 
 
 def rule_kink_distance(n, x):

@@ -6,11 +6,18 @@ lines; each test also enforces its runtime budget.
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import kink_distant_points, make_random_rule, random_dataset
+from conftest import (
+    fd_loss_gradient,
+    kink_distant_points,
+    make_random_rule,
+    random_dataset,
+    rule_pass,
+)
 from golden_tables import ANN_VS_NRE, GB_VS_NRE, RF_VS_NRE
 from test_tree import brute_force_best_split
 from nre.data import (
@@ -27,14 +34,12 @@ from nre.ensemble import (
     evaluate,
     load_model,
     model_loss_and_grad,
-    model_pack,
-    model_unpack,
     nre_score_batch,
     nre_train,
     save_model,
 )
 from nre.errors import DataError
-from nre.neural import forward_batch, init_deep_from_rule, init_from_rule
+from nre.neural import RuleBank, init_deep_from_rule, init_from_rule
 from nre.plotting import data_bounds, grid_convexity_check, grid_points
 from nre.rules import extract_rules, rule_activations, rule_norm
 from nre.stats import ComparisonTable, sign_test, wilcoxon_signed_rank
@@ -104,9 +109,8 @@ def test_ac3_rotated_xor_capability():
 
         def watch(stage, payload):
             if stage == "train_epoch" and payload["epoch"] in checkpoints:
-                m = payload["model"]
-                std = m.standardization
-                vals = forward_batch(m.rules[0], (centers - std.means) / std.stds).values
+                first_rule = replace(payload["model"], rules=payload["model"].rules[:1])
+                vals = nre_score_batch(first_rule, centers)
                 mask = (vals != 0.0).reshape(len(ys), len(xs))
                 convexity[payload["epoch"]] = grid_convexity_check(mask)
 
@@ -158,7 +162,7 @@ def test_ac5_init_support_fidelity():
                     clear &= np.abs(w * probes[:, f] + a) > 1e-9
                 for make in (init_from_rule, init_deep_from_rule):
                     neural = make(rule, tree.feature_set)
-                    vals = forward_batch(neural, probes).values
+                    vals = rule_pass(neural, probes).scores
                     agree = (vals != 0.0) == (acts != 0.0)
                     assert np.all(agree[clear])
 
@@ -179,18 +183,9 @@ def test_ac6_gradient_correctness():
             ]
             X = kink_distant_points(rng, rules, count=5, p=3)
             y = np.where(rng.random(5) > 0.5, 1, -1)
-            _, grad = model_loss_and_grad(rules, X, y)
-            flat = model_pack(rules)
-            fd = np.zeros_like(flat)
-            for i in range(flat.size):
-                for sign in (+1, -1):
-                    bumped = flat.copy()
-                    bumped[i] += sign * h
-                    model_unpack(rules, bumped)
-                    loss, _ = model_loss_and_grad(rules, X, y)
-                    fd[i] += sign * loss
-                fd[i] /= 2 * h
-            model_unpack(rules, flat)
+            bank = RuleBank(rules)
+            grad = model_loss_and_grad(bank, X, y)[1].copy()
+            fd = fd_loss_gradient(bank, X, y, h)
             scale = np.maximum(np.abs(fd), 1e-8)
             assert np.max(np.abs(grad - fd) / scale) < 1e-4
 

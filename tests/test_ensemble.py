@@ -1,10 +1,21 @@
+import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import kink_distant_points, make_random_rule, random_dataset
+from conftest import (
+    fd_loss_gradient,
+    kink_distant_points,
+    make_random_rule,
+    oracle_gradient,
+    random_dataset,
+)
+from nre.cli import main
 from nre.data import Dataset, StandardizationParams, standardize_apply, standardize_fit
 from nre.ensemble import (
     NREModel,
@@ -14,8 +25,6 @@ from nre.ensemble import (
     load_model,
     logistic_loss,
     model_loss_and_grad,
-    model_pack,
-    model_unpack,
     nre_predict,
     nre_score,
     nre_score_batch,
@@ -23,8 +32,11 @@ from nre.ensemble import (
     save_model,
 )
 from nre.errors import DataError, ModelFormatError
-from nre.neural import NeuralRule
+from nre.neural import SCORE_CHUNK_CELLS, NeuralRule, RuleBank
 from nre.tree import build_tree
+from reference_oracle import forward
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def easy_dataset(rng, n=120):
@@ -169,12 +181,37 @@ class TestTrainPipeline:
         model = nre_train(d, cfg)
         assert len(model.history) < 401
 
+    def test_padding_stays_zero_and_rules_view_the_bank(self):
+        rng = np.random.default_rng(17)
+        d = random_dataset(rng, 300, 3)
+        c_seen = []
+
+        def hook(stage, payload):
+            if stage == "train_epoch":
+                c_seen.append(float(payload["model"].rules[0].c))
+
+        cfg = TrainConfig(max_depth=3, epochs=60, deep=True, l2=0.01, early_stop_patience=3)
+        model = nre_train(d, cfg, trace=hook)
+        bank = model.bank
+        assert len({r.n_units for r in model.rules}) > 1  # some rules are padded
+        # copying the rules into a fresh bank pads with zeros: the vectors agree
+        np.testing.assert_array_equal(RuleBank(model.rules).params, bank.params)
+        assert all(np.shares_memory(r.w1, bank.params) for r in model.rules)
+        assert len(set(c_seen)) > 1  # checkpoints saw the parameters move
+
     def test_history_has_epochs_plus_one_rows(self):
         rng = np.random.default_rng(8)
         d = easy_dataset(rng)
         model = nre_train(d, TrainConfig(max_depth=2, epochs=17))
         assert len(model.history) == 18
         assert [row[0] for row in model.history] == list(range(18))
+
+
+def oracle_loss_and_grad(rules, X, y):
+    """Loss and gradient vector summed from single-point oracle passes."""
+    scores = np.array([sum(forward(r, x).value for r in rules) for x in X])
+    losses, dscores = logistic_loss(scores, y)
+    return float(losses.mean()), oracle_gradient(rules, X, dscores / len(X))
 
 
 class TestWholeModelGradient:
@@ -187,36 +224,43 @@ class TestWholeModelGradient:
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(9)
-        h = 1e-5
         for deep in (False, True):
             for _ in range(5):
                 rules = self.random_model_rules(rng, deep)
                 X = kink_distant_points(rng, rules, count=5, p=3)
                 y = np.where(rng.random(5) > 0.5, 1, -1)
-                _, grad = model_loss_and_grad(rules, X, y)
-                flat = model_pack(rules)
-                fd = np.zeros_like(flat)
-                for i in range(flat.size):
-                    for sign in (+1, -1):
-                        bumped = flat.copy()
-                        bumped[i] += sign * h
-                        model_unpack(rules, bumped)
-                        loss, _ = model_loss_and_grad(rules, X, y)
-                        fd[i] += sign * loss
-                    fd[i] /= 2 * h
-                model_unpack(rules, flat)
+                bank = RuleBank(rules)
+                grad = model_loss_and_grad(bank, X, y)[1].copy()
+                fd = fd_loss_gradient(bank, X, y)
                 scale = np.maximum(np.abs(fd), 1e-8)
                 assert np.max(np.abs(grad - fd) / scale) < 1e-4
 
     def test_l2_adds_shrinkage_gradient(self):
         rng = np.random.default_rng(10)
-        rules = self.random_model_rules(rng, deep=False)
+        bank = RuleBank(self.random_model_rules(rng, deep=False))
         X = rng.normal(size=(20, 3))
         y = np.where(rng.random(20) > 0.5, 1, -1)
         rho = 0.37
-        _, g0 = model_loss_and_grad(rules, X, y, l2=0.0)
-        _, g1 = model_loss_and_grad(rules, X, y, l2=rho)
-        np.testing.assert_allclose(g1 - g0, 2 * rho * model_pack(rules), atol=1e-12)
+        g0 = model_loss_and_grad(bank, X, y, l2=0.0)[1].copy()
+        _, g1 = model_loss_and_grad(bank, X, y, l2=rho)
+        np.testing.assert_allclose(g1 - g0, 2 * rho * bank.params, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), deep=st.booleans())
+    def test_matches_reference_oracle_sums(self, seed, deep):
+        rng = np.random.default_rng(seed)
+        q = int(rng.integers(1, 4))
+        tf = tuple(sorted(rng.choice(4, size=q, replace=False).tolist()))
+        rules = [
+            make_random_rule(rng, deep, H=int(rng.integers(1, 5)), q=q, tree_features=tf)
+            for _ in range(int(rng.integers(1, 6)))
+        ]
+        X = rng.normal(0.0, 1.5, size=(int(rng.integers(1, 30)), 4))
+        y = np.where(rng.random(X.shape[0]) > 0.5, 1, -1)
+        loss, grad = model_loss_and_grad(RuleBank(rules), X[:, list(tf)], y)
+        ref_loss, ref_grad = oracle_loss_and_grad(rules, X, y)
+        assert abs(loss - ref_loss) <= 1e-12
+        np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12)
 
 
 class TestScoring:
@@ -260,6 +304,28 @@ class TestScoring:
         for x in d.features[:20]:
             xs = (x - model.standardization.means) / model.standardization.stds
             assert nre_score(clone, xs) == nre_score(model, x)
+
+    def test_point_score_equals_batch_row(self):
+        rng = np.random.default_rng(18)
+        d = random_dataset(rng, 200, 3)
+        model = nre_train(d, TrainConfig(max_depth=3, epochs=10, deep=True, seed=1))
+        n = 2 * SCORE_CHUNK_CELLS // model.bank.B1.size + 7  # spans three score chunks
+        probes = rng.normal(0.0, 2.0, size=(n, 3))
+        batch = nre_score_batch(model, probes)
+        points = [nre_score(model, x) for x in probes]
+        np.testing.assert_allclose(points, batch, rtol=0, atol=1e-12)
+
+    def test_non_finite_rows_rejected(self):
+        rng = np.random.default_rng(19)
+        model = nre_train(easy_dataset(rng), TrainConfig(max_depth=2, epochs=1))
+        X = rng.normal(size=(5, 2))
+        X[3, 1] = np.nan
+        with pytest.raises(DataError, match="row 3"):
+            nre_score_batch(model, X)
+        with pytest.raises(DataError, match="non-finite"):
+            nre_score(model, [np.inf, 0.0])
+        with pytest.raises(DataError, match="non-finite"):
+            nre_predict(model, [np.nan, np.nan])
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(12)
@@ -323,8 +389,6 @@ class TestPersistence:
         payload = json.loads(path.read_text())
         payload.pop("checksum")
         payload["version"] = 999
-        import hashlib
-
         payload["checksum"] = hashlib.sha256(_canonical(payload).encode()).hexdigest()
         path.write_text(_canonical(payload))
         with pytest.raises(ModelFormatError, match="version"):
@@ -348,6 +412,47 @@ class TestPersistence:
         loaded = load_model(path)
         assert loaded.degenerate
         assert nre_score(loaded, [3.0]) == nre_score(model, [3.0])
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            pytest.param(lambda p, r: r["layer1"][0]["w"].append(0.5), id="ragged_layer"),
+            pytest.param(lambda p, r: [u["w"].append(0.5) for u in r["layer1"]], id="wide_layer"),
+            pytest.param(lambda p, r: [u["w"].pop() for u in r["layer2"]], id="non_square_layer2"),
+            pytest.param(lambda p, r: r.pop("layer2"), id="layer2_on_some_rules"),
+            pytest.param(lambda p, r: r.update(layer1=[], layer2=[]), id="no_units"),
+            pytest.param(
+                lambda p, r: p["tree_features"].append(len(p["standardization"]["means"])),
+                id="feature_outside_standardizer",
+            ),
+            pytest.param(lambda p, r: p["config"].update(epochs=0), id="invalid_config"),
+        ],
+    )
+    def test_malformed_rules_rejected(self, tmp_path, capsys, mutate):
+        _, path, _ = self.trained(tmp_path, deep=True)
+        payload = json.loads(path.read_text())
+        payload.pop("checksum")
+        widest = max(payload["rules"], key=lambda r: len(r["layer1"]))
+        assert len(widest["layer1"]) > 1
+        mutate(payload, widest)
+        payload["checksum"] = hashlib.sha256(_canonical(payload).encode()).hexdigest()
+        path.write_text(_canonical(payload))
+        with pytest.raises(ModelFormatError, match="malformed"):
+            load_model(path)
+        assert main(["eval", "--model", str(path), "--data", str(path)]) == 2
+
+    def test_model_written_by_per_rule_code_loads(self, tmp_path):
+        # written, with these scores, by the per-rule implementation the rule bank replaced
+        original = os.path.join(FIXTURES, "per_rule_model.json")
+        model = load_model(original)
+        again = tmp_path / "again.json"
+        save_model(model, again)
+        with open(original, "rb") as fh:
+            assert again.read_bytes() == fh.read()
+        with open(os.path.join(FIXTURES, "per_rule_scores.json"), encoding="utf-8") as fh:
+            expected = json.load(fh)
+        scores = nre_score_batch(model, np.array(expected["probes"]))
+        np.testing.assert_allclose(scores, expected["scores"], rtol=0, atol=1e-12)
 
     def test_config_round_trips(self, tmp_path):
         rng = np.random.default_rng(16)

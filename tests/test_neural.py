@@ -1,22 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import make_random_rule, random_tree, rule_kink_distance
+from conftest import make_random_rule, oracle_gradient, random_tree, rule_kink_distance, rule_pass
 from nre.neural import (
     AdamState,
     NeuralRule,
+    RuleBank,
     adam_step,
-    backward,
-    backward_batch,
-    forward,
-    forward_batch,
     init_deep_from_rule,
     init_from_rule,
-    pack_grads,
-    pack_params,
-    unpack_params,
 )
 from nre.rules import ConjunctiveRule, Literal, extract_rules, rule_activations
+from reference_oracle import backward, forward
 
 
 def kink_distant_probe(rng, n, p=3, delta=1e-3):
@@ -27,17 +22,23 @@ def kink_distant_probe(rng, n, p=3, delta=1e-3):
     raise AssertionError("could not find a kink-distant probe")
 
 
-def fd_param_gradient(n, x, upstream, h=1e-5):
-    flat = pack_params(n)
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        for sign, dest in ((+1, 0), (-1, 1)):
-            bumped = flat.copy()
-            bumped[i] += sign * h
-            unpack_params(n, bumped)
-            val = forward(n, x).value
-            grad[i] += sign * val
-    unpack_params(n, flat)
+def point_gradient(n, x, upstream):
+    """The bank's gradient of upstream * (rule output at x) over its parameter vector."""
+    bank = RuleBank([n])
+    X_t = np.asarray(x, dtype=np.float64)[None, list(n.tree_features)]
+    return bank, bank.backward(X_t, bank.forward(X_t), np.array([upstream]))
+
+
+def fd_param_gradient(bank, x, upstream, h=1e-5):
+    """Central differences of upstream * (rule output at x), bumping the bank vector."""
+    X_t = np.asarray(x, dtype=np.float64)[None, list(bank.tree_features)]
+    grad = np.zeros_like(bank.params)
+    for i in range(bank.params.size):
+        saved = bank.params[i]
+        for sign in (+1, -1):
+            bank.params[i] = saved + sign * h
+            grad[i] += sign * bank.forward(X_t).scores[0]
+        bank.params[i] = saved
     return upstream * grad / (2 * h)
 
 
@@ -92,7 +93,7 @@ class TestInit:
             acts = rule_activations(rule, probes)
             for make in (init_from_rule, init_deep_from_rule):
                 n = make(rule, tree.feature_set)
-                vals = forward_batch(n, probes).values
+                vals = rule_pass(n, probes).scores
                 np.testing.assert_array_equal(vals != 0.0, acts != 0.0)
 
     def test_deep_equals_shallow_at_init(self):
@@ -102,8 +103,8 @@ class TestInit:
         for rule in extract_rules(tree):
             shallow = init_from_rule(rule, tree.feature_set)
             deep = init_deep_from_rule(rule, tree.feature_set)
-            vs = forward_batch(shallow, probes).values
-            vd = forward_batch(deep, probes).values
+            vs = rule_pass(shallow, probes).scores
+            vd = rule_pass(deep, probes).scores
             np.testing.assert_allclose(vs, vd, atol=1e-12)
 
     def test_orthogonal_initial_activations(self):
@@ -111,7 +112,7 @@ class TestInit:
         tree, d = random_tree(rng, n=140, p=3, max_depth=4)
         rules = extract_rules(tree)
         outputs = [
-            forward_batch(init_from_rule(r, tree.feature_set), d.features).values
+            rule_pass(init_from_rule(r, tree.feature_set), d.features).scores
             for r in rules
         ]
         for i in range(len(outputs)):
@@ -122,13 +123,11 @@ class TestInit:
 class TestForward:
     def test_single_unit_inside(self):
         n = NeuralRule((0,), np.array([[-1.0]]), np.array([0.5]), None, None, 1.0)
-        tr = forward(n, [0.2])
-        assert tr.value == pytest.approx(0.3)
-        assert tr.argmin_index == 0
+        assert rule_pass(n, [0.2]).scores[0] == pytest.approx(0.3)
 
     def test_single_unit_outside(self):
         n = NeuralRule((0,), np.array([[-1.0]]), np.array([0.5]), None, None, 1.0)
-        assert forward(n, [0.7]).value == 0.0
+        assert rule_pass(n, [0.7]).scores[0] == 0.0
 
     def test_min_pool_selects_smallest(self):
         n = NeuralRule(
@@ -139,9 +138,9 @@ class TestForward:
             None,
             -2.0,
         )
-        tr = forward(n, [0.4, 0.1])
-        assert tr.value == pytest.approx(-0.2)
-        assert tr.argmin_index == 1
+        fp = rule_pass(n, [0.4, 0.1])
+        assert fp.scores[0] == pytest.approx(-0.2)
+        assert np.argmin(fp.final[0, :, 0]) == 1
 
     def test_argmin_tie_takes_smallest_index(self):
         n = NeuralRule(
@@ -152,25 +151,27 @@ class TestForward:
             None,
             1.0,
         )
-        tr = forward(n, [0.3, 0.3])
-        assert tr.argmin_index == 0
+        _, grad = point_gradient(n, [0.3, 0.3], upstream=1.0)
+        layout = RuleBank([n])  # reads the gradient vector rule by rule
+        layout.params[:] = grad
+        assert layout.rules[0].b1.tolist() == [1.0, 0.0]  # the tie routes to unit 0 only
 
     def test_gathers_tree_features_from_full_point(self):
         n = NeuralRule((2,), np.array([[1.0]]), np.array([0.0]), None, None, 1.0)
-        assert forward(n, [9.0, 9.0, 0.25]).value == pytest.approx(0.25)
+        assert rule_pass(n, [9.0, 9.0, 0.25]).scores[0] == pytest.approx(0.25)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(13)
         for deep in (False, True):
             n = make_random_rule(rng, deep)
             X = rng.normal(size=(50, 3))
-            bt = forward_batch(n, X)
+            fp = rule_pass(n, X)
             for i, x in enumerate(X):
                 tr = forward(n, x)
-                # batch uses matrix-matrix BLAS, single matrix-vector; last-ulp
-                # summation differences are expected
-                assert bt.values[i] == pytest.approx(tr.value, rel=1e-12, abs=1e-12)
-                assert bt.argmin_index[i] == tr.argmin_index
+                # the bank uses matrix-matrix BLAS, the oracle matrix-vector;
+                # last-ulp summation differences are expected
+                assert fp.scores[i] == pytest.approx(tr.value, rel=1e-12, abs=1e-12)
+                assert np.argmin(fp.final[0, :, i]) == tr.argmin_index
 
 
 class TestBackward:
@@ -185,10 +186,9 @@ class TestBackward:
                 final = tr.acts2 if deep else tr.acts1
                 if final[tr.argmin_index] <= 0.0:
                     count += 1
+                    _, grad = point_gradient(n, x, upstream=1.7)
+                    assert not grad.any()
                     g = backward(n, tr, upstream=1.7)
-                    assert not g.w1.any() and not g.b1.any()
-                    if deep:
-                        assert not g.w2.any() and not g.b2.any()
                     assert g.c == 0.0 and not g.dx_t.any()
             assert count > 0
 
@@ -201,8 +201,10 @@ class TestBackward:
             None,
             2.0,
         )
-        tr = forward(n, [0.5, 0.2])  # argmin unit 1
-        g = backward(n, tr, upstream=3.0)
+        _, grad = point_gradient(n, [0.5, 0.2], upstream=3.0)  # argmin unit 1
+        layout = RuleBank([n])  # reads the gradient vector rule by rule
+        layout.params[:] = grad
+        g = layout.rules[0]
         assert g.b1.tolist() == [0.0, 3.0 * 2.0]
         assert g.w1[0].tolist() == [0.0, 0.0]
         assert g.c == pytest.approx(3.0 * 0.2)
@@ -213,12 +215,11 @@ class TestBackward:
             for _ in range(10):
                 n = make_random_rule(rng, deep)
                 x = kink_distant_probe(rng, n)
-                tr = forward(n, x)
                 upstream = float(rng.normal()) or 1.0
-                g = pack_grads(n, backward(n, tr, upstream))
-                fd = fd_param_gradient(n, x, upstream)
+                bank, grad = point_gradient(n, x, upstream)
+                fd = fd_param_gradient(bank, x, upstream)
                 scale = np.maximum(np.abs(fd), 1e-8)
-                assert np.max(np.abs(g - fd) / scale) < 1e-4
+                assert np.max(np.abs(grad - fd) / scale) < 1e-4
 
     def test_input_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(16)
@@ -241,12 +242,10 @@ class TestBackward:
             n = make_random_rule(rng, deep)
             X = rng.normal(size=(40, 3))
             upstream = rng.normal(size=40)
-            bt = forward_batch(n, X)
-            batch = pack_grads(n, backward_batch(n, bt, upstream))
-            total = np.zeros_like(batch)
-            for x, u in zip(X, upstream):
-                total += pack_grads(n, backward(n, forward(n, x), float(u)))
-            np.testing.assert_allclose(batch, total, atol=1e-12)
+            bank = RuleBank([n])
+            X_t = X[:, list(n.tree_features)]
+            batch = bank.backward(X_t, bank.forward(X_t), upstream)
+            np.testing.assert_allclose(batch, oracle_gradient([n], X, upstream), atol=1e-12)
 
     def test_min_routing_shields_other_units(self):
         rng = np.random.default_rng(18)
@@ -266,7 +265,7 @@ class TestBackward:
                     n.tree_features, n.w1.copy(), n.b1.copy(), None, None, n.c
                 )
                 bumped.b1[j] -= gap / 4  # unit j stays above the pooled minimum
-                assert forward(bumped, x).value == tr.value
+                assert rule_pass(bumped, x).scores[0] == rule_pass(n, x).scores[0]
                 break
 
 
@@ -277,7 +276,7 @@ class TestConvexSupport:
         while checked < 30:
             n = make_random_rule(rng, deep=False, H=int(rng.integers(1, 5)))
             pts = rng.normal(0.0, 2.0, size=(400, 3))
-            vals = forward_batch(n, pts).values
+            vals = rule_pass(n, pts).scores
             support = pts[vals != 0.0]
             if support.shape[0] < 2:
                 continue
@@ -286,7 +285,7 @@ class TestConvexSupport:
                 i, j = rng.integers(0, support.shape[0], size=2)
                 theta = float(rng.random())
                 mid = theta * support[i] + (1 - theta) * support[j]
-                assert forward(n, mid).value != 0.0
+                assert rule_pass(n, mid).scores[0] != 0.0
 
 
 class TestAdam:
@@ -294,7 +293,8 @@ class TestAdam:
         state = AdamState.for_params(3)
         params = np.array([1.0, -2.0, 0.5])
         out = adam_step(params, np.zeros(3), state)
-        np.testing.assert_array_equal(out, params)
+        assert out is params  # updated in place
+        np.testing.assert_array_equal(out, [1.0, -2.0, 0.5])
         assert state.step == 1
 
     def test_first_step_magnitude_is_learning_rate(self):
@@ -336,24 +336,37 @@ class TestPacking:
     def test_round_trip_and_order(self):
         rng = np.random.default_rng(20)
         for deep in (False, True):
-            n = make_random_rule(rng, deep, H=2, q=3, tree_features=(0, 1, 2))
-            flat = pack_params(n)
-            assert flat.size == n.n_params()
-            # layer1 row-major, then biases, then layer2 likewise, then c
-            np.testing.assert_array_equal(flat[:6], n.w1.ravel())
-            np.testing.assert_array_equal(flat[6:8], n.b1)
-            assert flat[-1] == n.c
-            other = make_random_rule(rng, deep, H=2, q=3, tree_features=(0, 1, 2))
-            unpack_params(other, flat)
-            np.testing.assert_array_equal(other.w1, n.w1)
-            np.testing.assert_array_equal(other.b1, n.b1)
-            if deep:
-                np.testing.assert_array_equal(other.w2, n.w2)
-                np.testing.assert_array_equal(other.b2, n.b2)
-            assert other.c == n.c
+            rules = [
+                make_random_rule(rng, deep, H=h, q=3, tree_features=(0, 1, 2)) for h in (2, 1, 3)
+            ]
+            bank = RuleBank(rules)
+            R, H, q = 3, 3, 3
+            assert bank.params.size == R * H * q + R * H + (R * H * H + R * H if deep else 0) + R
+            # W1 (R, H, q) row-major first, then B1, W2 and B2 (deep only), then c
+            n1 = R * H * q
+            np.testing.assert_array_equal(bank.params[:n1], bank.W1.ravel())
+            np.testing.assert_array_equal(bank.params[n1 : n1 + R * H], bank.B1.ravel())
+            np.testing.assert_array_equal(bank.params[-R:], [r.c for r in rules])
+            for i, (r, view) in enumerate(zip(rules, bank.rules)):
+                np.testing.assert_array_equal(view.w1, r.w1)
+                np.testing.assert_array_equal(view.b1, r.b1)
+                assert np.shares_memory(view.w1, bank.params)
+                assert not bank.W1[i, r.n_units :].any()  # padding
+                if deep:
+                    np.testing.assert_array_equal(view.w2, r.w2)
+                    np.testing.assert_array_equal(view.b2, r.b2)
+                assert view.c == r.c
+            bank.params[-R:] = [7.0, 8.0, 9.0]  # a rule shows the vector's current values
+            assert [float(v.c) for v in bank.rules] == [7.0, 8.0, 9.0]
+            assert rules[0].c != 7.0  # the given rules were copied, not adopted
 
     def test_wrong_size_rejected(self):
         rng = np.random.default_rng(21)
         n = make_random_rule(rng, deep=False)
-        with pytest.raises(ValueError):
-            unpack_params(n, np.zeros(n.n_params() + 1))
+        wide = NeuralRule(n.tree_features, np.zeros((3, 3)), n.b1, None, None, 1.0)
+        other = make_random_rule(rng, deep=False, tree_features=(0, 1))
+        deep = make_random_rule(rng, deep=True)
+        skewed = NeuralRule(n.tree_features, n.w1, n.b1, np.zeros((3, 2)), np.zeros(3), 1.0)
+        for rules in ([n, wide], [n, other], [n, deep], [skewed]):
+            with pytest.raises(ValueError):
+                RuleBank(rules)

@@ -11,7 +11,6 @@ from nre.rules import (
     Literal,
     extract_rules,
     rank_rules,
-    rule_activate,
     rule_activations,
     rule_margin_score,
     rule_norm,
@@ -64,7 +63,7 @@ class TestExtractRules:
         for x in probes:
             routed = tree.route(x)
             for r, leaf in zip(rules, leaves):
-                active = rule_activate(r, x) != 0.0
+                active = rule_activations(r, [x])[0] != 0.0
                 assert active == (leaf is routed)
 
     def test_balanced_leaf_gets_epsilon_value(self):
@@ -92,13 +91,13 @@ class TestRuleActivate:
         return ConjunctiveRule((Literal(0, -1, 0.5),), c=1.0, n_pos=3, n_neg=1)
 
     def test_inside_support(self):
-        assert rule_activate(self.rule(), [0.2]) == 1.0
+        assert rule_activations(self.rule(), [[0.2]])[0] == 1.0
 
     def test_boundary_is_outside(self):
-        assert rule_activate(self.rule(), [0.5]) == 0.0
+        assert rule_activations(self.rule(), [[0.5]])[0] == 0.0
 
     def test_outside_support(self):
-        assert rule_activate(self.rule(), [0.9]) == 0.0
+        assert rule_activations(self.rule(), [[0.9]])[0] == 0.0
 
     def test_relu_invariance(self):
         # H(z) with H(0)=0 is unchanged when z is passed through max(0, .)
@@ -110,7 +109,7 @@ class TestRuleActivate:
             )
             r = ConjunctiveRule(lits, c=float(rng.normal() or 1.0), n_pos=1, n_neg=0)
             x = rng.normal(size=3)
-            direct = rule_activate(r, x)
+            direct = rule_activations(r, [x])[0]
             via_relu = r.c
             for f, w, a in lits:
                 z = max(0.0, w * x[f] + a)
@@ -129,7 +128,7 @@ class TestRuleActivate:
             x = rng.normal(size=3)
             zs = [w * x[f] + a for f, w, a in lits]
             via_min = r.c if min(zs) > 0.0 else 0.0
-            assert rule_activate(r, x) == via_min
+            assert rule_activations(r, [x])[0] == via_min
 
 
 class TestRuleNorm:
