@@ -301,15 +301,29 @@ def _model_payload(m: NREModel) -> dict:
 
 
 def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _reject_constant(token: str):
+    raise ModelFormatError(f"not a valid model file: non-finite number {token}")
 
 
 def save_model(m: NREModel, path: str) -> None:
     """Write the model as canonical JSON with an embedded content checksum.
 
     Floats serialize at full round-trip precision, so save -> load -> save is
-    byte-identical and loaded models score exactly like the originals.
+    byte-identical and loaded models score exactly like the originals. A
+    non-finite parameter has no JSON form: it raises ValueError naming the
+    parameters and nothing is written.
     """
+    if not np.isfinite(m.bank.params).all():
+        bad = [
+            f"rule {i} {name}"
+            for i, r in enumerate(m.rules)
+            for name in ("w1", "b1", "w2", "b2", "c")
+            if getattr(r, name) is not None and not np.all(np.isfinite(getattr(r, name)))
+        ]
+        raise ValueError(f"cannot save a model with non-finite parameters: {', '.join(bad)}")
     payload = _model_payload(m)
     checksum = hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
     payload["checksum"] = checksum
@@ -322,7 +336,7 @@ def load_model(path: str) -> NREModel:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise ModelFormatError(f"not a valid model file: {e}") from e
     if not isinstance(payload, dict):

@@ -3,6 +3,20 @@
 The gain of a split is the children's summed (n+ - n-)^2 / n minus the same
 quantity at the parent, so a split is only worth taking when it increases the
 squared class-count margin per sample.
+
+The split search is exact and sorts once. ``build_tree`` argsorts every
+feature a single time into a feature-major (p, N) index table: row f lists
+all samples in ascending order of feature f. Each node owns a column range
+``[lo, hi)`` of that table holding exactly its samples, still sorted per
+feature. After a split the range is partitioned in place, left samples first,
+each side keeping its order, so children are never sorted again. A node's
+scan evaluates every candidate of every feature with whole-array numpy
+operations, in feature blocks of at most ``SPLIT_SCAN_CELLS`` table cells,
+which bounds each temporary of the scan to about 2 MB however wide or tall
+the data.
+Child class-count margins are exact int64, so the gains, thresholds and
+tie-breaks (lowest feature, then lowest threshold) are those of a per-feature
+scan that sorts at every node.
 """
 from __future__ import annotations
 
@@ -12,6 +26,10 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError
+
+# Table cells (features x node rows) a split scan handles at once; bounds each
+# int64/float64 temporary of the scan to 2 MB.
+SPLIT_SCAN_CELLS = 1 << 18
 
 
 @dataclass
@@ -119,8 +137,20 @@ class DecisionTree:
         return node
 
     def predict(self, features: np.ndarray) -> np.ndarray:
+        """Leaf votes of all rows, routed as a batch with ``route``'s convention."""
         X = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        return np.array([self.route(x).vote for x in X], dtype=np.int64)
+        votes = np.empty(X.shape[0], dtype=np.int64)
+
+        def walk(node, rows):
+            if node.is_leaf:
+                votes[rows] = node.vote
+                return
+            go_left = X[rows, node.feature] <= node.threshold
+            walk(node.left, rows[go_left])
+            walk(node.right, rows[~go_left])
+
+        walk(self.root, np.arange(X.shape[0]))
+        return votes
 
     def pretty(self, feature_names=None) -> str:
         """One node per line, children indented under their parent."""
@@ -175,40 +205,63 @@ def best_split(
     None when no candidate has strictly positive gain (in particular for pure
     nodes and constant features).
     """
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels)
-    n = X.shape[0]
-    if n < 2:
-        return None
-    pos = (y == 1).astype(np.int64)
-    total_pos = int(pos.sum())
-    total_neg = n - total_pos
-    parent_term = (total_pos - total_neg) ** 2 / n
+    XT = np.ascontiguousarray(np.asarray(features, dtype=np.float64).T)
+    pos = np.asarray(labels) == 1
+    return _scan(XT, pos, np.argsort(XT, axis=1), int(np.count_nonzero(pos)), min_leaf)
 
+
+def _scan(
+    XT: np.ndarray, pos: np.ndarray, seg: np.ndarray, n_pos: int, min_leaf: int
+) -> tuple[int, float, float] | None:
+    """Best split of one node whose rows, sorted by each feature, are the rows of seg.
+
+    ``XT`` is the (p, N) feature-major data, ``pos`` marks the positive rows,
+    ``seg[f]`` lists the node's rows in ascending order of feature f and
+    ``n_pos`` counts its positives. Candidate ``i`` puts the first ``i + 1``
+    rows of each list on the left; it counts only where the value changes,
+    so the order of equal values does not matter.
+    """
+    p, n = seg.shape
+    first, stop = min_leaf - 1, n - min_leaf  # candidates leaving min_leaf on each side
+    if first >= stop:
+        return None
+    n_left = np.arange(first + 1, stop + 1)
+    n_right = n - n_left
+    margin = 2 * n_pos - n
+    parent_term = margin**2 / n
+    block = max(1, SPLIT_SCAN_CELLS // n)
     best: tuple[int, float, float] | None = None
-    for f in range(X.shape[1]):
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        cum_pos = np.cumsum(pos[order])
-        # boundary after index i means a left child of size i+1
-        boundary = np.flatnonzero(xs[:-1] != xs[1:])
-        if min_leaf > 1:
-            sizes = boundary + 1
-            boundary = boundary[(sizes >= min_leaf) & (n - sizes >= min_leaf)]
-        if boundary.size == 0:
-            continue
-        nl = boundary + 1
-        nl_pos = cum_pos[boundary]
-        nl_neg = nl - nl_pos
-        nr_pos = total_pos - nl_pos
-        nr_neg = total_neg - nl_neg
-        gains = (nl_pos - nl_neg) ** 2 / nl + (nr_pos - nr_neg) ** 2 / (n - nl) - parent_term
-        k = int(np.argmax(gains))  # first max = lowest threshold
-        gain = float(gains[k])
+    for f0 in range(0, p, block):
+        rows = seg[f0 : f0 + block]
+        xs = np.take_along_axis(XT[f0 : f0 + block], rows, axis=1)
+        # class-count margins of the children, exact in int64
+        left = 2 * np.cumsum(pos[rows], axis=1)[:, first:stop] - n_left
+        right = margin - left
+        gains = left * left / n_left + right * right / n_right - parent_term
+        gains[xs[:, first:stop] == xs[:, first + 1 : stop + 1]] = -np.inf
+        k = np.argmax(gains, axis=1)  # first max = lowest threshold
+        top = gains[np.arange(k.size), k]
+        j = int(np.argmax(top))  # first max = lowest feature
+        gain = float(top[j])
         if gain > 0.0 and (best is None or gain > best[2]):
-            threshold = float((xs[boundary[k]] + xs[boundary[k] + 1]) / 2)
-            best = (f, threshold, gain)
+            i = first + int(k[j])
+            best = (f0 + j, float((xs[j, i] + xs[j, i + 1]) / 2), gain)
     return best
+
+
+def _partition(seg: np.ndarray, left_rows: np.ndarray, go_left: np.ndarray) -> None:
+    """Reorder every list of seg in place: left_rows first, each side keeping its order.
+
+    ``go_left`` is an all-False scratch mask over the N rows and is left that way.
+    """
+    p, n = seg.shape
+    n_left = left_rows.size
+    go_left[left_rows] = True
+    mask = go_left[seg].ravel()
+    go_left[left_rows] = False
+    flat = seg.flatten()  # a copy: seg is a view of the table it is written back to
+    seg[:, :n_left] = flat[np.flatnonzero(mask)].reshape(p, n_left)
+    seg[:, n_left:] = flat[np.flatnonzero(~mask)].reshape(p, n - n_left)
 
 
 def build_tree(d: Dataset, max_depth: int, min_leaf: int = 1) -> DecisionTree:
@@ -224,24 +277,30 @@ def build_tree(d: Dataset, max_depth: int, min_leaf: int = 1) -> DecisionTree:
     X, y = d.features, d.labels
     if X.shape[0] == 0:
         raise DataError("cannot build a tree from an empty dataset")
+    XT = np.ascontiguousarray(X.T, dtype=np.float64)
+    pos = y == 1
+    order = np.argsort(XT, axis=1)  # row f: all rows in ascending order of feature f
+    go_left = np.zeros(X.shape[0], dtype=bool)
 
-    def grow(idx: np.ndarray, depth: int) -> TreeNode:
-        ys = y[idx]
-        n_pos = int(np.sum(ys == 1))
-        n_neg = idx.size - n_pos
-        node = TreeNode(n_pos=n_pos, n_neg=n_neg)
-        if depth >= max_depth or n_pos == 0 or n_neg == 0:
+    def grow(lo: int, hi: int, n_pos: int, depth: int) -> TreeNode:
+        node = TreeNode(n_pos=n_pos, n_neg=hi - lo - n_pos)
+        if depth >= max_depth or n_pos == 0 or n_pos == hi - lo:
             return node
-        found = best_split(X[idx], ys, min_leaf=min_leaf)
+        seg = order[:, lo:hi]
+        found = _scan(XT, pos, seg, n_pos, min_leaf)
         if found is None:
             return node
         f, t, _ = found
-        mask = X[idx, f] <= t
+        # x <= t, not the scanned boundary: a midpoint of adjacent doubles may equal the upper one
+        n_left = int(np.searchsorted(XT[f, seg[f]], t, side="right"))
+        left_pos = int(np.count_nonzero(pos[seg[f, :n_left]]))
+        if depth + 1 < max_depth:  # children at max_depth are leaves and never scanned
+            _partition(seg, seg[f, :n_left], go_left)
         node.feature = f
         node.threshold = t
-        node.left = grow(idx[mask], depth + 1)
-        node.right = grow(idx[~mask], depth + 1)
+        node.left = grow(lo, lo + n_left, left_pos, depth + 1)
+        node.right = grow(lo + n_left, hi, n_pos - left_pos, depth + 1)
         return node
 
-    root = grow(np.arange(X.shape[0]), 0)
+    root = grow(0, X.shape[0], int(np.count_nonzero(pos)), 0)
     return DecisionTree(root=root, max_depth=max_depth)

@@ -1,9 +1,15 @@
-"""Single-point forward and backward passes of one neural rule: the test oracle.
+"""Test oracles: the plain per-rule and per-feature versions of batched code.
 
-This is the per-rule, per-point math written out plainly. The rule bank in
-``nre.neural`` computes the same values and gradients for all rules and rows at
-once; the tests compare the two, and check this oracle against finite
-differences, including its gradient with respect to the input point.
+The single-point forward and backward passes of one neural rule are the
+per-rule, per-point math written out plainly. The rule bank in ``nre.neural``
+computes the same values and gradients for all rules and rows at once; the
+tests compare the two, and check this oracle against finite differences,
+including its gradient with respect to the input point.
+
+``reference_build_tree`` is the recursive tree growth that argsorts every
+feature at every node, one feature at a time. ``nre.tree.build_tree`` sorts
+each feature once and scans all features of a node together; the tests require
+the two to grow identical trees.
 """
 from __future__ import annotations
 
@@ -11,7 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from nre.data import Dataset
+from nre.errors import DataError
 from nre.neural import NeuralRule
+from nre.tree import DecisionTree, TreeNode
 
 
 @dataclass
@@ -84,3 +93,85 @@ def backward(n: NeuralRule, trace: ForwardTrace, upstream: float) -> RuleGradien
         gb1[k] = g
         dx_t = g * n.w1[k]
     return RuleGradients(gw1, gb1, gw2, gb2, dc, dx_t)
+
+
+def reference_best_split(
+    features: np.ndarray, labels: np.ndarray, min_leaf: int = 1
+) -> tuple[int, float, float] | None:
+    """Exhaustive scan for the margin-gain-maximizing (feature, threshold).
+
+    Candidate thresholds are midpoints of consecutive distinct sorted values.
+    Ties break to the lowest feature index, then the lowest threshold. Returns
+    None when no candidate has strictly positive gain (in particular for pure
+    nodes and constant features).
+    """
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels)
+    n = X.shape[0]
+    if n < 2:
+        return None
+    pos = (y == 1).astype(np.int64)
+    total_pos = int(pos.sum())
+    total_neg = n - total_pos
+    parent_term = (total_pos - total_neg) ** 2 / n
+
+    best: tuple[int, float, float] | None = None
+    for f in range(X.shape[1]):
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        cum_pos = np.cumsum(pos[order])
+        # boundary after index i means a left child of size i+1
+        boundary = np.flatnonzero(xs[:-1] != xs[1:])
+        if min_leaf > 1:
+            sizes = boundary + 1
+            boundary = boundary[(sizes >= min_leaf) & (n - sizes >= min_leaf)]
+        if boundary.size == 0:
+            continue
+        nl = boundary + 1
+        nl_pos = cum_pos[boundary]
+        nl_neg = nl - nl_pos
+        nr_pos = total_pos - nl_pos
+        nr_neg = total_neg - nl_neg
+        gains = (nl_pos - nl_neg) ** 2 / nl + (nr_pos - nr_neg) ** 2 / (n - nl) - parent_term
+        k = int(np.argmax(gains))  # first max = lowest threshold
+        gain = float(gains[k])
+        if gain > 0.0 and (best is None or gain > best[2]):
+            threshold = float((xs[boundary[k]] + xs[boundary[k] + 1]) / 2)
+            best = (f, threshold, gain)
+    return best
+
+
+def reference_build_tree(d: Dataset, max_depth: int, min_leaf: int = 1) -> DecisionTree:
+    """Greedy recursive partitioning under the margin-gain criterion.
+
+    Recursion stops at ``max_depth``, on pure nodes, when no candidate split
+    has positive gain, or when a split would starve a child below ``min_leaf``.
+    """
+    if max_depth < 1:
+        raise DataError("max_depth must be >= 1")
+    if min_leaf < 1:
+        raise DataError("min_leaf must be >= 1")
+    X, y = d.features, d.labels
+    if X.shape[0] == 0:
+        raise DataError("cannot build a tree from an empty dataset")
+
+    def grow(idx: np.ndarray, depth: int) -> TreeNode:
+        ys = y[idx]
+        n_pos = int(np.sum(ys == 1))
+        n_neg = idx.size - n_pos
+        node = TreeNode(n_pos=n_pos, n_neg=n_neg)
+        if depth >= max_depth or n_pos == 0 or n_neg == 0:
+            return node
+        found = reference_best_split(X[idx], ys, min_leaf=min_leaf)
+        if found is None:
+            return node
+        f, t, _ = found
+        mask = X[idx, f] <= t
+        node.feature = f
+        node.threshold = t
+        node.left = grow(idx[mask], depth + 1)
+        node.right = grow(idx[~mask], depth + 1)
+        return node
+
+    root = grow(np.arange(X.shape[0]), 0)
+    return DecisionTree(root=root, max_depth=max_depth)

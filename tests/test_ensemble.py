@@ -454,6 +454,43 @@ class TestPersistence:
         scores = nre_score_batch(model, np.array(expected["probes"]))
         np.testing.assert_allclose(scores, expected["scores"], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_token_rejected(self, tmp_path, capsys, value):
+        with open(os.path.join(FIXTURES, "per_rule_model.json"), encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload.pop("checksum")
+        payload["rules"][0]["c"] = value
+        # Python's json writes NaN/Infinity tokens unless told not to
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        payload["checksum"] = hashlib.sha256(text.encode()).hexdigest()
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        with pytest.raises(ModelFormatError, match="non-finite"):
+            load_model(path)
+        assert main(["eval", "--model", str(path), "--data", str(path)]) == 2
+
+    def test_non_finite_parameters_not_saved(self, tmp_path):
+        model = load_model(os.path.join(FIXTURES, "per_rule_model.json"))
+        model.rules[0].c[...] = math.nan
+        model.rules[1].w1[0, 0] = math.inf
+        path = tmp_path / "nan.json"
+        with pytest.raises(ValueError, match="non-finite parameters: rule 0 c, rule 1 w1$"):
+            save_model(model, path)
+        assert not path.exists()
+        with pytest.raises(ValueError):
+            _canonical({"c": math.nan})
+
+    def test_diverged_training_is_numeric_error(self, tmp_path, capsys):
+        data = tmp_path / "xor.csv"
+        assert main(["gen", "xor", "--n", "200", "--seed", "3", "--out", str(data)]) == 0
+        out = tmp_path / "model.json"
+        with np.errstate(all="ignore"):
+            code = main(["train", "--data", str(data), "--out", str(out), "--max-depth", "3",
+                         "--epochs", "3", "--learning-rate", "1e308"])
+        assert code == 3
+        assert "non-finite parameters" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_round_trips(self, tmp_path):
         rng = np.random.default_rng(16)
         d = random_dataset(rng, 60, 2)

@@ -1,10 +1,23 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_dataset
 from nre.data import Dataset
 from nre.errors import DataError
-from nre.tree import DecisionTree, TreeNode, best_split, build_tree, margin_split_gain
+from nre import tree as tree_module
+from nre.tree import (
+    SPLIT_SCAN_CELLS,
+    DecisionTree,
+    TreeNode,
+    best_split,
+    build_tree,
+    margin_split_gain,
+)
+from reference_oracle import reference_build_tree
 
 
 def brute_force_best_split(X, y, min_leaf=1):
@@ -97,6 +110,32 @@ class TestBestSplit:
         assert unrestricted[1] == 0.5
         restricted = best_split(X, y, min_leaf=2)
         assert restricted is None or restricted[1] != 0.5
+
+
+ULP = np.finfo(np.float64).eps
+
+
+@st.composite
+def gridded_datasets(draw):
+    """Small datasets whose columns repeat values: integer grids, constants, adjacent
+    doubles and copies of the first column.
+
+    On the adjacent-doubles column a midpoint threshold can round to the upper
+    value, so x <= t sends rows on both sides of the scanned boundary left.
+    """
+    n = draw(st.integers(1, 40))
+    kinds = draw(
+        st.lists(st.sampled_from(["grid", "constant", "ulp", "copy"]), min_size=1, max_size=5)
+    )
+    cols = []
+    for kind in kinds:
+        k = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)
+        if kind == "copy":  # ties every gain of an earlier column
+            cols.append(cols[0] if cols else k)
+        else:
+            cols.append({"grid": k, "constant": np.full(n, 2.0), "ulp": 1.0 + k * ULP}[kind])
+    y = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)))
+    return Dataset(np.column_stack(cols), y, tuple(f"x{j}" for j in range(len(cols))))
 
 
 def xor9_dataset():
@@ -205,6 +244,29 @@ class TestBuildTree:
         check(tree.root)
         assert tree.root.n_samples == d.n_samples
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        d=gridded_datasets(),
+        max_depth=st.integers(1, 6),
+        min_leaf=st.integers(1, 4),
+        scan_cells=st.sampled_from([1, 20, SPLIT_SCAN_CELLS]),
+    )
+    def test_matches_reference_build_tree(self, d, max_depth, min_leaf, scan_cells):
+        # small scan budgets split a node's features over several blocks
+        with mock.patch.object(tree_module, "SPLIT_SCAN_CELLS", scan_cells):
+            tree = build_tree(d, max_depth=max_depth, min_leaf=min_leaf)
+        assert tree.to_dict() == reference_build_tree(d, max_depth, min_leaf).to_dict()
+
+        def check(node):
+            if node.is_leaf:
+                return node.n_pos, node.n_neg
+            left, right = check(node.left), check(node.right)
+            assert (node.n_pos, node.n_neg) == (left[0] + right[0], left[1] + right[1])
+            return node.n_pos, node.n_neg
+
+        check(tree.root)
+        assert sum(leaf.n_samples for leaf in tree.leaves()) == d.n_samples
+
     def test_chosen_splits_have_positive_gain(self):
         rng = np.random.default_rng(4)
         d = random_dataset(rng, 80, 3)
@@ -269,6 +331,28 @@ class TestBuildTree:
         assert len(lines) == 7  # 3 internal + 4 leaves
         assert lines[0].startswith("x")
         assert sum("leaf" in ln for ln in lines) == 4
+
+    def test_predict_matches_route_on_and_off_thresholds(self):
+        rng = np.random.default_rng(8)
+        d = random_dataset(rng, 150, 3)
+        tree = build_tree(d, max_depth=4)
+        on_threshold = []
+
+        def walk(node):
+            if not node.is_leaf:
+                x = rng.normal(size=3)
+                x[node.feature] = node.threshold
+                on_threshold.append(x)
+                walk(node.left)
+                walk(node.right)
+
+        walk(tree.root)
+        X = np.vstack([d.features, rng.normal(size=(50, 3)), on_threshold])
+        assert len(on_threshold) > 1
+        expected = [tree.route(x).vote for x in X]
+        np.testing.assert_array_equal(tree.predict(X), expected)
+        assert tree.predict(X[0]).tolist() == expected[:1]
+        assert tree.predict(np.empty((0, 3))).shape == (0,)
 
     def test_round_trip_dict(self):
         d = xor9_dataset()
