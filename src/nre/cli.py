@@ -64,6 +64,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_config_file(path: str) -> dict:
+    """TrainConfig fields, cast to their types, and the fetch keys of a config file."""
     if not os.path.exists(path):
         raise DataError(f"config file not found: {path}")
     out = {}
@@ -80,6 +81,15 @@ def _read_config_file(path: str) -> dict:
             value = value.strip()
             if not key or not value:
                 raise DataError(f"bad config line {lineno}: {line!r}")
+            if key in _CONFIG_CASTS:
+                try:
+                    value = _CONFIG_CASTS[key](value)
+                except ValueError:
+                    raise DataError(
+                        f"config line {lineno}: bad value for {key}: {value!r}"
+                    ) from None
+            elif key not in ("pmlb_base_url", "cache_dir"):
+                raise DataError(f"config line {lineno}: unknown key {key!r}")
             out[key] = value
     return out
 
@@ -89,7 +99,7 @@ def _parse_bool(s: str) -> bool:
         return True
     if s.lower() in ("0", "false", "no", "off"):
         return False
-    raise DataError(f"not a boolean: {s!r}")
+    raise ValueError(f"not a boolean: {s!r}")
 
 
 _CONFIG_CASTS = {
@@ -108,10 +118,10 @@ _CONFIG_CASTS = {
 
 def _train_config(args, config: dict) -> TrainConfig:
     kwargs = {}
-    for key, cast in _CONFIG_CASTS.items():
+    for key in _CONFIG_CASTS:
         value = getattr(args, key, None)
-        if value is None and key in config:
-            value = cast(config[key])
+        if value is None:
+            value = config.get(key)
         if value is not None:
             kwargs[key] = value
     try:
@@ -149,8 +159,8 @@ def _load_dataset(args) -> Dataset:
 def _write_dataset_csv(d: Dataset, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(list(d.feature_names) + ["label"]) + "\n")
-        for row, lab in zip(d.features, d.labels):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{int(lab)}\n")
+        for row, lab in zip(d.features.tolist(), d.labels.tolist()):
+            fh.write(",".join(map(repr, row)) + f",{lab}\n")
 
 
 def _checkpoint_path(model_path: str, iteration: int) -> str:

@@ -150,7 +150,7 @@ def load_table(path: str, label_column, positive_label=None) -> Dataset:
     for i, row in enumerate(body):
         if len(row) != len(header):
             raise DataError(f"row {i + 2} has {len(row)} cells, expected {len(header)}")
-        raw_labels.append(row[label_idx].strip())
+        raw_labels.append(row.pop(label_idx).strip())
     distinct = sorted(set(raw_labels))
     if len(distinct) > 2:
         raise DataError(f"more than two classes in {path}: {distinct[:5]}")
@@ -159,24 +159,25 @@ def load_table(path: str, label_column, positive_label=None) -> Dataset:
             positive_label = max(distinct, key=float)
         except ValueError:
             positive_label = max(distinct)
-    if not any(_values_equal(v, positive_label) for v in distinct):
+    is_positive = {v: _values_equal(v, positive_label) for v in distinct}
+    if not any(is_positive.values()):
         raise DataError(f"positive label {positive_label!r} not among values {distinct}")
 
     feature_names = tuple(h for j, h in enumerate(header) if j != label_idx)
-    features = np.empty((len(body), len(feature_names)), dtype=np.float64)
-    for i, row in enumerate(body):
-        col = 0
-        for j, cell in enumerate(row):
-            if j == label_idx:
-                continue
-            try:
-                features[i, col] = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"non-numeric value {cell!r} at row {i + 2}, column {header[j]!r}"
-                ) from None
-            col += 1
-    labels = np.where([_values_equal(v, positive_label) for v in raw_labels], 1, -1)
+    try:
+        # numpy converts each str with float()'s own rules
+        features = np.array(body, dtype=np.float64)
+    except ValueError:
+        for i, row in enumerate(body):
+            for name, cell in zip(feature_names, row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"non-numeric value {cell!r} at row {i + 2}, column {name!r}"
+                    ) from None
+        raise
+    labels = np.where([is_positive[v] for v in raw_labels], 1, -1)
     return Dataset(features, labels, feature_names)
 
 
@@ -215,9 +216,8 @@ def stratified_kfold(d: Dataset, k: int, seed: int) -> FoldAssignment:
         if idx.size == 0:
             continue
         rng.shuffle(idx)
-        for i in idx:
-            fold_index[i] = counter % k
-            counter += 1
+        fold_index[idx] = (counter + np.arange(idx.size)) % k
+        counter += idx.size
     return FoldAssignment(fold_index, k)
 
 

@@ -59,13 +59,6 @@ def grid_convexity_check(mask: np.ndarray) -> bool:
     return True
 
 
-def support_mask(score_fn, bounds, resolution: int) -> np.ndarray:
-    """Boolean grid (rows = y, cols = x) of cells with nonzero score."""
-    pts, xs, ys = grid_points(bounds, resolution)
-    vals = np.asarray(score_fn(pts))
-    return (vals != 0.0).reshape(len(ys), len(xs))
-
-
 def render_decision_regions(
     score_fn,
     features: np.ndarray,

@@ -27,8 +27,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DataError
 
-# Table cells (features x node rows) a split scan handles at once; bounds each
-# int64/float64 temporary of the scan to 2 MB.
+# Table cells (features x node rows) a split scan handles at once: 2 MB per temporary.
 SPLIT_SCAN_CELLS = 1 << 18
 
 
@@ -200,26 +199,28 @@ def best_split(
 ) -> tuple[int, float, float] | None:
     """Exhaustive scan for the margin-gain-maximizing (feature, threshold).
 
-    Candidate thresholds are midpoints of consecutive distinct sorted values.
-    Ties break to the lowest feature index, then the lowest threshold. Returns
-    None when no candidate has strictly positive gain (in particular for pure
-    nodes and constant features).
+    Candidate thresholds are midpoints strictly between consecutive sorted
+    values. Ties break to the lowest feature index, then the lowest threshold.
+    Returns None when no candidate has strictly positive gain (in particular
+    for pure nodes and constant features).
     """
     XT = np.ascontiguousarray(np.asarray(features, dtype=np.float64).T)
     pos = np.asarray(labels) == 1
-    return _scan(XT, pos, np.argsort(XT, axis=1), int(np.count_nonzero(pos)), min_leaf)
+    found = _scan(XT, pos, np.argsort(XT, axis=1), int(np.count_nonzero(pos)), min_leaf)
+    return None if found is None else found[:3]
 
 
 def _scan(
     XT: np.ndarray, pos: np.ndarray, seg: np.ndarray, n_pos: int, min_leaf: int
-) -> tuple[int, float, float] | None:
+) -> tuple[int, float, float, int] | None:
     """Best split of one node whose rows, sorted by each feature, are the rows of seg.
 
     ``XT`` is the (p, N) feature-major data, ``pos`` marks the positive rows,
     ``seg[f]`` lists the node's rows in ascending order of feature f and
     ``n_pos`` counts its positives. Candidate ``i`` puts the first ``i + 1``
-    rows of each list on the left; it counts only where the value changes,
-    so the order of equal values does not matter.
+    rows of each list on the left, and counts only if its midpoint lies strictly
+    between the two values (equal values and adjacent doubles have none). Returns
+    (feature, threshold, gain, left child size).
     """
     p, n = seg.shape
     first, stop = min_leaf - 1, n - min_leaf  # candidates leaving min_leaf on each side
@@ -230,7 +231,7 @@ def _scan(
     margin = 2 * n_pos - n
     parent_term = margin**2 / n
     block = max(1, SPLIT_SCAN_CELLS // n)
-    best: tuple[int, float, float] | None = None
+    best: tuple[int, float, float, int] | None = None
     for f0 in range(0, p, block):
         rows = seg[f0 : f0 + block]
         xs = np.take_along_axis(XT[f0 : f0 + block], rows, axis=1)
@@ -238,14 +239,15 @@ def _scan(
         left = 2 * np.cumsum(pos[rows], axis=1)[:, first:stop] - n_left
         right = margin - left
         gains = left * left / n_left + right * right / n_right - parent_term
-        gains[xs[:, first:stop] == xs[:, first + 1 : stop + 1]] = -np.inf
+        lo, hi = xs[:, first:stop], xs[:, first + 1 : stop + 1]
+        mids = (lo + hi) / 2
+        gains[~((lo < mids) & (mids < hi))] = -np.inf
         k = np.argmax(gains, axis=1)  # first max = lowest threshold
         top = gains[np.arange(k.size), k]
         j = int(np.argmax(top))  # first max = lowest feature
         gain = float(top[j])
         if gain > 0.0 and (best is None or gain > best[2]):
-            i = first + int(k[j])
-            best = (f0 + j, float((xs[j, i] + xs[j, i + 1]) / 2), gain)
+            best = (f0 + j, float(mids[j, k[j]]), gain, first + int(k[j]) + 1)
     return best
 
 
@@ -290,9 +292,7 @@ def build_tree(d: Dataset, max_depth: int, min_leaf: int = 1) -> DecisionTree:
         found = _scan(XT, pos, seg, n_pos, min_leaf)
         if found is None:
             return node
-        f, t, _ = found
-        # x <= t, not the scanned boundary: a midpoint of adjacent doubles may equal the upper one
-        n_left = int(np.searchsorted(XT[f, seg[f]], t, side="right"))
+        f, t, _, n_left = found
         left_pos = int(np.count_nonzero(pos[seg[f, :n_left]]))
         if depth + 1 < max_depth:  # children at max_depth are leaves and never scanned
             _partition(seg, seg[f, :n_left], go_left)

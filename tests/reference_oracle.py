@@ -10,14 +10,20 @@ including its gradient with respect to the input point.
 feature at every node, one feature at a time. ``nre.tree.build_tree`` sorts
 each feature once and scans all features of a node together; the tests require
 the two to grow identical trees.
+
+``reference_load_table`` is the CSV loader that converts one cell at a time
+with ``float()``. ``nre.data.load_table`` converts all feature cells in one
+numpy call; the tests require the same ``Dataset`` or the same error text.
 """
 from __future__ import annotations
 
+import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from nre.data import Dataset
+from nre.data import Dataset, _delimiter_for, _open_text, _values_equal
 from nre.errors import DataError
 from nre.neural import NeuralRule
 from nre.tree import DecisionTree, TreeNode
@@ -100,10 +106,10 @@ def reference_best_split(
 ) -> tuple[int, float, float] | None:
     """Exhaustive scan for the margin-gain-maximizing (feature, threshold).
 
-    Candidate thresholds are midpoints of consecutive distinct sorted values.
-    Ties break to the lowest feature index, then the lowest threshold. Returns
-    None when no candidate has strictly positive gain (in particular for pure
-    nodes and constant features).
+    Candidate thresholds are midpoints strictly between consecutive sorted
+    values. Ties break to the lowest feature index, then the lowest threshold.
+    Returns None when no candidate has strictly positive gain (in particular
+    for pure nodes and constant features).
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
@@ -120,8 +126,10 @@ def reference_best_split(
         order = np.argsort(X[:, f], kind="stable")
         xs = X[order, f]
         cum_pos = np.cumsum(pos[order])
-        # boundary after index i means a left child of size i+1
-        boundary = np.flatnonzero(xs[:-1] != xs[1:])
+        # boundary after index i means a left child of size i+1; adjacent doubles
+        # have no midpoint strictly between them, so x <= t could not split there
+        mids = (xs[:-1] + xs[1:]) / 2
+        boundary = np.flatnonzero((xs[:-1] < mids) & (mids < xs[1:]))
         if min_leaf > 1:
             sizes = boundary + 1
             boundary = boundary[(sizes >= min_leaf) & (n - sizes >= min_leaf)]
@@ -175,3 +183,70 @@ def reference_build_tree(d: Dataset, max_depth: int, min_leaf: int = 1) -> Decis
 
     root = grow(np.arange(X.shape[0]), 0)
     return DecisionTree(root=root, max_depth=max_depth)
+
+
+def reference_load_table(path: str, label_column, positive_label=None) -> Dataset:
+    """Read a delimited text file into a Dataset.
+
+    The delimiter comes from the extension (.tsv/.tab are tab-separated,
+    anything else comma-separated; a .gz suffix is decompressed transparently)
+    and a header row is required. ``label_column`` may be a column name or a
+    0-based index. Rows must have exactly two distinct label values;
+    ``positive_label`` maps to +1 and the other value to -1. When
+    ``positive_label`` is None the numerically (or lexicographically) larger
+    raw value becomes +1.
+    """
+    if not os.path.exists(path):
+        raise DataError(f"no such file: {path}")
+    delim = _delimiter_for(path)
+    with _open_text(path) as fh:
+        reader = csv.reader(fh, delimiter=delim)
+        rows = [row for row in reader if row]
+    if not rows:
+        raise DataError(f"empty file: {path}")
+    header = [h.strip() for h in rows[0]]
+    if isinstance(label_column, int):
+        label_idx = label_column
+        if not 0 <= label_idx < len(header):
+            raise DataError(f"label column index {label_idx} out of range")
+    else:
+        try:
+            label_idx = header.index(str(label_column))
+        except ValueError:
+            raise DataError(f"label column {label_column!r} not in header {header}") from None
+    body = rows[1:]
+    if not body:
+        raise DataError(f"no data rows in {path}")
+
+    raw_labels = []
+    for i, row in enumerate(body):
+        if len(row) != len(header):
+            raise DataError(f"row {i + 2} has {len(row)} cells, expected {len(header)}")
+        raw_labels.append(row[label_idx].strip())
+    distinct = sorted(set(raw_labels))
+    if len(distinct) > 2:
+        raise DataError(f"more than two classes in {path}: {distinct[:5]}")
+    if positive_label is None:
+        try:
+            positive_label = max(distinct, key=float)
+        except ValueError:
+            positive_label = max(distinct)
+    if not any(_values_equal(v, positive_label) for v in distinct):
+        raise DataError(f"positive label {positive_label!r} not among values {distinct}")
+
+    feature_names = tuple(h for j, h in enumerate(header) if j != label_idx)
+    features = np.empty((len(body), len(feature_names)), dtype=np.float64)
+    for i, row in enumerate(body):
+        col = 0
+        for j, cell in enumerate(row):
+            if j == label_idx:
+                continue
+            try:
+                features[i, col] = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"non-numeric value {cell!r} at row {i + 2}, column {header[j]!r}"
+                ) from None
+            col += 1
+    labels = np.where([_values_equal(v, positive_label) for v in raw_labels], 1, -1)
+    return Dataset(features, labels, feature_names)

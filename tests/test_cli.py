@@ -7,7 +7,7 @@ import pytest
 
 from golden_tables import GB_VS_NRE, RF_VS_NRE
 from nre.cli import main
-from nre.data import StandardizationParams, load_table
+from nre.data import StandardizationParams, gen_rotated_xor, load_table
 from nre.ensemble import NREModel, TrainConfig, load_model, nre_predict, nre_score_batch, save_model
 from nre.neural import NeuralRule
 from nre.plotting import grid_convexity_check, grid_points
@@ -56,6 +56,17 @@ class TestGen:
         assert code == 0
         header = out.read_text().splitlines()[0].split(",")
         assert len(header) == 501  # 500 features + label
+
+    def test_cells_are_float_reprs(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        code, _, _ = run(capsys, "gen", "xor", "--n", "50", "--seed", "4", "--out", str(out))
+        assert code == 0
+        d = gen_rotated_xor(50, 45.0, 0.15, 4)
+        rows = (
+            ",".join(repr(float(v)) for v in row) + f",{int(lab)}\n"
+            for row, lab in zip(d.features, d.labels)
+        )
+        assert out.read_text() == "x0,x1,label\n" + "".join(rows)
 
     def test_same_seed_identical_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -129,6 +140,25 @@ class TestTrain:
         loaded = load_model(m2)
         assert loaded.config.epochs == 3  # flag beats config file
         assert loaded.config.max_depth == 2  # config file beats default
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("epochs = two", "config line 2: bad value for epochs: 'two'"),
+            ("deep = maybe", "config line 2: bad value for deep: 'maybe'"),
+            ("max_dept = 6", "config line 2: unknown key 'max_dept'"),
+        ],
+    )
+    def test_bad_config_file_is_data_error(self, tmp_path, small_xor_csv, capsys, line, message):
+        cfg = tmp_path / "nre.cfg"
+        cfg.write_text(f"# one bad line\n{line}\n")
+        model_path = tmp_path / "m.json"
+        code, _, err = run(
+            capsys, "train", "--data", small_xor_csv, "--out", str(model_path), "--config", str(cfg)
+        )
+        assert code == 2
+        assert message in err
+        assert not model_path.exists()
 
     def test_missing_data_file(self, tmp_path, capsys):
         code, _, err = run(

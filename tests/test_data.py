@@ -1,9 +1,14 @@
+import csv
 import gzip
+import io
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nre.data import (
     Dataset,
@@ -17,6 +22,7 @@ from nre.data import (
     stratified_kfold,
 )
 from nre.errors import DataError
+from reference_oracle import reference_load_table
 
 
 def write(path, text):
@@ -105,6 +111,93 @@ class TestLoadTable:
         np.testing.assert_array_equal(d.features, d2.features)
         np.testing.assert_array_equal(d.labels, d2.labels)
         assert d.feature_names == d2.feature_names
+
+
+_GOOD_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["-0.0", " 1.5 ", "  -2", "1e3 ", "+.5", "5.", "1_000", "١"]),
+)
+_BAD_CELLS = st.sampled_from(
+    ["", " ", "abc", "1,5", "1\t5", "1.2.3", "0x1", "--1", "\xa0", "1 2", "inf", "nan"]
+)
+_LABEL_PAIRS = st.sampled_from(
+    [("0", "1"), ("-1", "1"), ("1", "2.0"), (" 1", "1.0"), ("no", "yes"), ("a,b", 'q"t')]
+)
+_NAMES = st.text(alphabet='ab ,\t"', max_size=4)
+_SOMETIMES = st.sampled_from([False, False, False, True])
+
+
+@st.composite
+def delimited_tables(draw):
+    """A table file's text and suffix, and the label arguments to load it with.
+
+    Cells are numbers, padded numbers, -0.0 and sometimes quoted; names and
+    labels may hold the delimiter or a quote. A table may carry blank lines, a
+    third class, a bad cell or a ragged row anywhere.
+    """
+    suffix = draw(st.sampled_from([".csv", ".tsv", ".tab", ".csv.gz", ".tsv.gz"]))
+    n_rows, n_cols = draw(st.sampled_from(range(7))), draw(st.sampled_from(range(1, 7)))
+    label_idx = draw(st.integers(0, n_cols - 1))
+    classes = list(draw(_LABEL_PAIRS))
+    if draw(_SOMETIMES):
+        classes.append("third")
+    header = draw(st.lists(_NAMES, min_size=n_cols, max_size=n_cols))
+    rows = [header]
+    for _ in range(n_rows):
+        row = draw(st.lists(_GOOD_CELLS, min_size=n_cols, max_size=n_cols))
+        row[label_idx] = draw(st.sampled_from(classes[:2] if len(classes) == 3 else classes))
+        rows.append(row)
+    if n_rows and draw(st.booleans()):
+        rows[draw(st.integers(1, n_rows))][label_idx] = classes[-1]
+    if n_rows and draw(st.booleans()):
+        row = rows[draw(st.integers(1, n_rows))]
+        row[draw(st.integers(0, n_cols - 1))] = draw(_BAD_CELLS)
+    if n_rows and draw(_SOMETIMES):
+        row = rows[draw(st.integers(1, n_rows))]
+        if draw(st.booleans()):
+            row.append("0")
+        else:
+            row.pop()
+    buf = io.StringIO()
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    delimiter = "," if suffix.startswith(".csv") else "\t"
+    writer = csv.writer(buf, delimiter=delimiter, quoting=quoting, lineterminator="\n")
+    lines = []
+    for row in rows:
+        writer.writerow(row)
+        lines.append(buf.getvalue())
+        buf.seek(0)
+        buf.truncate()
+        if draw(st.booleans()):
+            lines.append("\n")  # a blank line
+    label_column = "missing" if draw(_SOMETIMES) else header[label_idx].strip()
+    label_column = label_idx if draw(st.booleans()) else label_column
+    positive_label = "absent" if draw(_SOMETIMES) else draw(st.sampled_from([None, *classes[:2]]))
+    return "".join(lines), suffix, label_column, positive_label
+
+
+def _load_outcome(loader, path, label_column, positive_label):
+    try:
+        d = loader(path, label_column, positive_label)
+    except DataError as e:
+        return "error", str(e)
+    return "ok", d.features.tobytes(), d.features.shape, d.labels.tolist(), d.feature_names
+
+
+class TestLoadTableMatchesReference:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(table=delimited_tables())
+    def test_same_dataset_or_same_error(self, table):
+        text, suffix, label_column, positive_label = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t" + suffix)
+            opener = gzip.open if suffix.endswith(".gz") else open
+            with opener(path, "wt", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            got = _load_outcome(load_table, path, label_column, positive_label)
+            want = _load_outcome(reference_load_table, path, label_column, positive_label)
+        assert got == want
 
 
 class TestDatasetInvariants:
@@ -241,6 +334,11 @@ class TestStratifiedKFold:
                     int((d.labels[fa.test_indices(f)] == cls).sum()) for f in range(k)
                 ]
                 assert max(counts) - min(counts) <= 1
+
+    def test_pinned_fold_index(self):
+        # a literal, so a change to the assignment cannot shift CV folds silently
+        fa = stratified_kfold(self.make(5, 4), 3, seed=7)
+        assert fa.fold_index.tolist() == [1, 2, 1, 0, 2, 0, 2, 1, 0]
 
     def test_k_larger_than_n(self):
         with pytest.raises(DataError):

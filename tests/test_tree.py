@@ -17,6 +17,7 @@ from nre.tree import (
     build_tree,
     margin_split_gain,
 )
+from nre.rules import extract_rules
 from reference_oracle import reference_build_tree
 
 
@@ -257,15 +258,29 @@ class TestBuildTree:
             tree = build_tree(d, max_depth=max_depth, min_leaf=min_leaf)
         assert tree.to_dict() == reference_build_tree(d, max_depth, min_leaf).to_dict()
 
-        def check(node):
+        def check(node, rows):
             if node.is_leaf:
                 return node.n_pos, node.n_neg
-            left, right = check(node.left), check(node.right)
+            x = d.features[rows, node.feature]
+            assert not np.any(x == node.threshold)  # no training value on a threshold
+            go_left = x <= node.threshold
+            assert min(go_left.sum(), (~go_left).sum()) >= min_leaf
+            left = check(node.left, rows[go_left])
+            right = check(node.right, rows[~go_left])
             assert (node.n_pos, node.n_neg) == (left[0] + right[0], left[1] + right[1])
             return node.n_pos, node.n_neg
 
-        check(tree.root)
+        check(tree.root, np.arange(d.n_samples))
         assert sum(leaf.n_samples for leaf in tree.leaves()) == d.n_samples
+
+    def test_adjacent_doubles_give_a_single_leaf(self):
+        # no double lies strictly between 1 and 1+eps or between 1+eps and 1+2eps,
+        # so no threshold can separate these rows
+        x = np.array([1.0, 1 + ULP, 1 + ULP, 1 + 2 * ULP, 1 + 2 * ULP])
+        d = Dataset(x[:, None], np.array([-1, -1, -1, 1, 1]), ("x0",))
+        tree = build_tree(d, max_depth=3, min_leaf=2)
+        assert tree.n_leaves() == 1
+        assert len(extract_rules(tree)) == 1
 
     def test_chosen_splits_have_positive_gain(self):
         rng = np.random.default_rng(4)
