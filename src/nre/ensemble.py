@@ -60,10 +60,10 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1 when given")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.l2 < 0:
-            raise ValueError("l2 must be >= 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and > 0")
+        if not 0 <= self.l2 < np.inf:
+            raise ValueError("l2 must be finite and >= 0")
         if self.max_rules is not None and self.max_rules < 1:
             raise ValueError("max_rules must be >= 1 when given")
         if self.early_stop_patience is not None and self.early_stop_patience < 1:
@@ -155,6 +155,11 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
     ("standardize", "tree", "rules", "neural_init", one "train_epoch" per epoch
     including the epoch-0 baseline, then "done"), which makes the pipeline
     order observable and lets callers write mid-training checkpoints.
+
+    A non-finite training loss after an epoch raises FloatingPointError naming
+    that epoch. Early stopping restores the parameters of the epoch with the
+    lowest validation loss and cuts ``history`` after that epoch, so its last
+    row describes the returned model; the hook has still seen every epoch.
     """
     emit = trace if trace is not None else (lambda stage, payload: None)
     if len(np.unique(d.labels)) < 2:
@@ -222,18 +227,21 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
             _, grad = model_loss_and_grad(bank, X_t[bidx], y[bidx], l2=cfg.l2)
             adam_step(bank.params, grad, state)
         loss_e, err_e = _eval_bank(bank, X_train, y_train)
+        if not np.isfinite(loss_e):
+            raise FloatingPointError(f"training diverged at epoch {epoch}: loss {loss_e}")
         model.history.append((epoch, loss_e, err_e))
         emit("train_epoch", {"epoch": epoch, "loss": loss_e, "error": err_e, "model": model})
         if val_idx is not None:
             val_loss, _ = _eval_bank(bank, X_t[val_idx], y[val_idx])
             if val_loss < best_val:
-                best_val, best_params, stale = val_loss, bank.params.copy(), 0
+                best_val, best_params, best_epoch, stale = val_loss, bank.params.copy(), epoch, 0
             else:
                 stale += 1
                 if stale >= cfg.early_stop_patience:
                     break
     if best_params is not None:
         bank.params[:] = best_params
+        del model.history[best_epoch + 1 :]
     emit("done", model)
     return model
 

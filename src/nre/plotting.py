@@ -32,33 +32,6 @@ def grid_points(bounds, resolution: int):
     return np.column_stack([gx.ravel(), gy.ravel()]), xs, ys
 
 
-def grid_convexity_check(mask: np.ndarray) -> bool:
-    """Discrete convexity of a boolean grid: midpoints of support cells stay in support.
-
-    For every pair of support cells, at least one of the (up to four) cells
-    surrounding their exact midpoint must be in the support too. The slack of
-    one cell absorbs rasterization aliasing at curved boundaries while still
-    failing decisively when the support splits into pieces or grows a dent.
-    """
-    cells = np.argwhere(mask)
-    if cells.shape[0] < 3:
-        return True
-    for start in range(0, cells.shape[0], 256):
-        block = cells[start : start + 256]
-        mid = (block[:, None, :] + cells[None, :, :]) / 2.0
-        lo = np.floor(mid).astype(int)
-        hi = np.ceil(mid).astype(int)
-        ok = (
-            mask[lo[..., 0], lo[..., 1]]
-            | mask[lo[..., 0], hi[..., 1]]
-            | mask[hi[..., 0], lo[..., 1]]
-            | mask[hi[..., 0], hi[..., 1]]
-        )
-        if not np.all(ok):
-            return False
-    return True
-
-
 def render_decision_regions(
     score_fn,
     features: np.ndarray,

@@ -44,21 +44,17 @@ def extract_rules(tree: DecisionTree) -> list[ConjunctiveRule]:
     placeholder so the value stays nonzero (training can move it anyway).
     """
     rules: list[ConjunctiveRule] = []
-
-    def walk(node, path: list[Literal]):
-        if node.is_leaf:
-            n = node.n_pos + node.n_neg
-            c = (node.n_pos - node.n_neg) / n
-            if c == 0.0:
-                c = BALANCED_LEAF_VALUE
-            rules.append(
-                ConjunctiveRule(tuple(path), c=c, n_pos=node.n_pos, n_neg=node.n_neg)
-            )
-            return
-        walk(node.left, path + [Literal(node.feature, -1, node.threshold)])
-        walk(node.right, path + [Literal(node.feature, +1, -node.threshold)])
-
-    walk(tree.root, [])
+    for leaf, path in tree.walk():
+        if not leaf.is_leaf:
+            continue
+        literals = tuple(
+            Literal(n.feature, -1, n.threshold) if left else Literal(n.feature, +1, -n.threshold)
+            for n, left in path
+        )
+        c = (leaf.n_pos - leaf.n_neg) / leaf.n_samples
+        if c == 0.0:
+            c = BALANCED_LEAF_VALUE
+        rules.append(ConjunctiveRule(literals, c=c, n_pos=leaf.n_pos, n_neg=leaf.n_neg))
     return rules
 
 
@@ -69,14 +65,6 @@ def rule_activations(r: ConjunctiveRule, features: np.ndarray) -> np.ndarray:
     for f, w, a in r.literals:
         active &= w * X[:, f] + a > 0.0
     return np.where(active, r.c, 0.0)
-
-
-def rule_norm(r: ConjunctiveRule) -> float:
-    """Euclidean norm of the rule's activation vector over its training data: |c| sqrt(n)."""
-    n = r.n_pos + r.n_neg
-    if n < 1:
-        raise ValueError("rule norm needs at least one activated training sample")
-    return abs(r.c) * np.sqrt(n)
 
 
 def rule_margin_score(n_pos: int, n_neg: int) -> float:

@@ -45,10 +45,6 @@ class TreeNode:
         return self.left is None
 
     @property
-    def kind(self) -> str:
-        return "leaf" if self.is_leaf else "internal"
-
-    @property
     def n_samples(self) -> int:
         return self.n_pos + self.n_neg
 
@@ -88,45 +84,33 @@ class TreeNode:
 class DecisionTree:
     root: TreeNode
     max_depth: int
-    feature_set: tuple[int, ...] = field(default=())
+    feature_set: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        used = set()
+        self.feature_set = tuple(sorted({n.feature for n, _ in self.walk() if not n.is_leaf}))
 
-        def walk(node):
+    def walk(self):
+        """Yield (node, path) for every node, parents first, left subtree before right.
+
+        ``path`` holds one (ancestor, went_left) pair per branch from the root.
+        """
+        stack = [(self.root, ())]
+        while stack:
+            node, path = stack.pop()
+            yield node, path
             if not node.is_leaf:
-                used.add(node.feature)
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.root)
-        self.feature_set = tuple(sorted(used))
+                stack.append((node.right, path + ((node, False),)))
+                stack.append((node.left, path + ((node, True),)))
 
     def depth(self) -> int:
-        def d(node):
-            return 0 if node.is_leaf else 1 + max(d(node.left), d(node.right))
-
-        return d(self.root)
+        return max(len(path) for _, path in self.walk())
 
     def n_leaves(self) -> int:
-        def c(node):
-            return 1 if node.is_leaf else c(node.left) + c(node.right)
-
-        return c(self.root)
+        return len(self.leaves())
 
     def leaves(self) -> list[TreeNode]:
         """Leaves in left-to-right order."""
-        out = []
-
-        def walk(node):
-            if node.is_leaf:
-                out.append(node)
-            else:
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.root)
-        return out
+        return [node for node, _ in self.walk() if node.is_leaf]
 
     def route(self, x) -> TreeNode:
         """Leaf reached by a point under the x <= threshold goes left convention."""
@@ -158,9 +142,8 @@ class DecisionTree:
             return feature_names[j] if feature_names else f"x{j}"
 
         lines = []
-
-        def walk(node, indent):
-            pad = "  " * indent
+        for node, path in self.walk():
+            pad = "  " * len(path)
             if node.is_leaf:
                 lines.append(f"{pad}leaf (n+={node.n_pos}, n-={node.n_neg})")
             else:
@@ -168,10 +151,6 @@ class DecisionTree:
                     f"{pad}{name(node.feature)} <= {node.threshold:.6g}"
                     f" (n+={node.n_pos}, n-={node.n_neg})"
                 )
-                walk(node.left, indent + 1)
-                walk(node.right, indent + 1)
-
-        walk(self.root, 0)
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
@@ -180,18 +159,6 @@ class DecisionTree:
     @staticmethod
     def from_dict(d: dict) -> "DecisionTree":
         return DecisionTree(root=TreeNode.from_dict(d["root"]), max_depth=d["max_depth"])
-
-
-def margin_split_gain(nl_pos: int, nl_neg: int, nr_pos: int, nr_neg: int) -> float:
-    """Squared class-count margin gained by splitting a parent into two children."""
-    n_l = nl_pos + nl_neg
-    n_r = nr_pos + nr_neg
-    if n_l < 1 or n_r < 1:
-        raise ValueError("both children must receive at least one sample")
-    np_pos = nl_pos + nr_pos
-    np_neg = nl_neg + nr_neg
-    n_p = n_l + n_r
-    return (nl_pos - nl_neg) ** 2 / n_l + (nr_pos - nr_neg) ** 2 / n_r - (np_pos - np_neg) ** 2 / n_p
 
 
 def best_split(

@@ -14,6 +14,15 @@ the two to grow identical trees.
 ``reference_load_table`` is the CSV loader that converts one cell at a time
 with ``float()``. ``nre.data.load_table`` converts all feature cells in one
 numpy call; the tests require the same ``Dataset`` or the same error text.
+
+``reference_feature_set``, ``reference_depth``, ``reference_n_leaves``,
+``reference_leaves``, ``reference_pretty`` and ``reference_extract_rules`` are
+the recursive tree traversals that ``DecisionTree.walk`` replaced; the tests
+require the walk-based methods to give the same results on every tree.
+
+``margin_split_gain``, ``rule_norm`` and ``grid_convexity_check`` are helpers
+that only the tests use: the brute-force split oracle, the rule-norm margins of
+the acceptance tests and the convexity check of rule supports on a grid.
 """
 from __future__ import annotations
 
@@ -26,6 +35,7 @@ import numpy as np
 from nre.data import Dataset, _delimiter_for, _open_text, _values_equal
 from nre.errors import DataError
 from nre.neural import NeuralRule
+from nre.rules import BALANCED_LEAF_VALUE, ConjunctiveRule, Literal
 from nre.tree import DecisionTree, TreeNode
 
 
@@ -250,3 +260,142 @@ def reference_load_table(path: str, label_column, positive_label=None) -> Datase
             col += 1
     labels = np.where([_values_equal(v, positive_label) for v in raw_labels], 1, -1)
     return Dataset(features, labels, feature_names)
+
+
+def reference_feature_set(tree: DecisionTree) -> tuple[int, ...]:
+    used = set()
+
+    def walk(node):
+        if not node.is_leaf:
+            used.add(node.feature)
+            walk(node.left)
+            walk(node.right)
+
+    walk(tree.root)
+    return tuple(sorted(used))
+
+
+def reference_depth(tree: DecisionTree) -> int:
+    def d(node):
+        return 0 if node.is_leaf else 1 + max(d(node.left), d(node.right))
+
+    return d(tree.root)
+
+
+def reference_n_leaves(tree: DecisionTree) -> int:
+    def c(node):
+        return 1 if node.is_leaf else c(node.left) + c(node.right)
+
+    return c(tree.root)
+
+
+def reference_leaves(tree: DecisionTree) -> list[TreeNode]:
+    """Leaves in left-to-right order."""
+    out = []
+
+    def walk(node):
+        if node.is_leaf:
+            out.append(node)
+        else:
+            walk(node.left)
+            walk(node.right)
+
+    walk(tree.root)
+    return out
+
+
+def reference_pretty(tree: DecisionTree, feature_names=None) -> str:
+    """One node per line, children indented under their parent."""
+
+    def name(j):
+        return feature_names[j] if feature_names else f"x{j}"
+
+    lines = []
+
+    def walk(node, indent):
+        pad = "  " * indent
+        if node.is_leaf:
+            lines.append(f"{pad}leaf (n+={node.n_pos}, n-={node.n_neg})")
+        else:
+            lines.append(
+                f"{pad}{name(node.feature)} <= {node.threshold:.6g}"
+                f" (n+={node.n_pos}, n-={node.n_neg})"
+            )
+            walk(node.left, indent + 1)
+            walk(node.right, indent + 1)
+
+    walk(tree.root, 0)
+    return "\n".join(lines)
+
+
+def reference_extract_rules(tree: DecisionTree) -> list[ConjunctiveRule]:
+    """One rule per leaf, in left-to-right order, literals in root-to-leaf order.
+
+    The activation value is the signed class margin at the leaf,
+    (n+ - n-) / (n+ + n-); perfectly balanced leaves get a small positive
+    placeholder so the value stays nonzero (training can move it anyway).
+    """
+    rules: list[ConjunctiveRule] = []
+
+    def walk(node, path: list[Literal]):
+        if node.is_leaf:
+            n = node.n_pos + node.n_neg
+            c = (node.n_pos - node.n_neg) / n
+            if c == 0.0:
+                c = BALANCED_LEAF_VALUE
+            rules.append(
+                ConjunctiveRule(tuple(path), c=c, n_pos=node.n_pos, n_neg=node.n_neg)
+            )
+            return
+        walk(node.left, path + [Literal(node.feature, -1, node.threshold)])
+        walk(node.right, path + [Literal(node.feature, +1, -node.threshold)])
+
+    walk(tree.root, [])
+    return rules
+
+
+def margin_split_gain(nl_pos: int, nl_neg: int, nr_pos: int, nr_neg: int) -> float:
+    """Squared class-count margin gained by splitting a parent into two children."""
+    n_l = nl_pos + nl_neg
+    n_r = nr_pos + nr_neg
+    if n_l < 1 or n_r < 1:
+        raise ValueError("both children must receive at least one sample")
+    np_pos = nl_pos + nr_pos
+    np_neg = nl_neg + nr_neg
+    n_p = n_l + n_r
+    return (nl_pos - nl_neg) ** 2 / n_l + (nr_pos - nr_neg) ** 2 / n_r - (np_pos - np_neg) ** 2 / n_p
+
+
+def rule_norm(r: ConjunctiveRule) -> float:
+    """Euclidean norm of the rule's activation vector over its training data: |c| sqrt(n)."""
+    n = r.n_pos + r.n_neg
+    if n < 1:
+        raise ValueError("rule norm needs at least one activated training sample")
+    return abs(r.c) * np.sqrt(n)
+
+
+def grid_convexity_check(mask: np.ndarray) -> bool:
+    """Discrete convexity of a boolean grid: midpoints of support cells stay in support.
+
+    For every pair of support cells, at least one of the (up to four) cells
+    surrounding their exact midpoint must be in the support too. The slack of
+    one cell absorbs rasterization aliasing at curved boundaries while still
+    failing decisively when the support splits into pieces or grows a dent.
+    """
+    cells = np.argwhere(mask)
+    if cells.shape[0] < 3:
+        return True
+    for start in range(0, cells.shape[0], 256):
+        block = cells[start : start + 256]
+        mid = (block[:, None, :] + cells[None, :, :]) / 2.0
+        lo = np.floor(mid).astype(int)
+        hi = np.ceil(mid).astype(int)
+        ok = (
+            mask[lo[..., 0], lo[..., 1]]
+            | mask[lo[..., 0], hi[..., 1]]
+            | mask[hi[..., 0], lo[..., 1]]
+            | mask[hi[..., 0], hi[..., 1]]
+        )
+        if not np.all(ok):
+            return False
+    return True

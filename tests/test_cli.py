@@ -10,9 +10,10 @@ from nre.cli import main
 from nre.data import StandardizationParams, gen_rotated_xor, load_table
 from nre.ensemble import NREModel, TrainConfig, load_model, nre_predict, nre_score_batch, save_model
 from nre.neural import NeuralRule
-from nre.plotting import grid_convexity_check, grid_points
+from nre.plotting import grid_points
 from nre.tree import build_tree
 from nre.data import Dataset
+from reference_oracle import grid_convexity_check
 
 
 def run(capsys, *argv):
@@ -158,6 +159,21 @@ class TestTrain:
         )
         assert code == 2
         assert message in err
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_finite_learning_rate_is_usage_error(self, tmp_path, small_xor_csv, capsys, source):
+        model_path = tmp_path / "m.json"
+        argv = ["train", "--data", small_xor_csv, "--out", str(model_path)]
+        if source == "flag":
+            argv += ["--learning-rate", "nan"]
+        else:
+            cfg = tmp_path / "nre.cfg"
+            cfg.write_text("learning_rate = nan\n")
+            argv += ["--config", str(cfg)]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "learning_rate must be finite and > 0" in err
         assert not model_path.exists()
 
     def test_missing_data_file(self, tmp_path, capsys):

@@ -16,7 +16,13 @@ from conftest import (
     random_dataset,
 )
 from nre.cli import main
-from nre.data import Dataset, StandardizationParams, standardize_apply, standardize_fit
+from nre.data import (
+    Dataset,
+    StandardizationParams,
+    gen_rotated_xor,
+    standardize_apply,
+    standardize_fit,
+)
 from nre.ensemble import (
     NREModel,
     TrainConfig,
@@ -97,6 +103,10 @@ class TestTrainConfig:
             {"min_leaf": 0},
             {"max_rules": 0},
             {"early_stop_patience": 0},
+            {"learning_rate": math.nan},
+            {"learning_rate": math.inf},
+            {"l2": math.nan},
+            {"l2": math.inf},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -180,6 +190,21 @@ class TestTrainPipeline:
         cfg = TrainConfig(max_depth=3, epochs=400, early_stop_patience=1, seed=1)
         model = nre_train(d, cfg)
         assert len(model.history) < 401
+
+    def test_early_stopping_history_ends_at_returned_model(self):
+        d = gen_rotated_xor(600, 30, 0.6, 0)
+        snapshots = {}
+
+        def hook(stage, payload):
+            if stage == "train_epoch":
+                snapshots[payload["epoch"]] = payload["model"].bank.params.copy()
+
+        cfg = TrainConfig(max_depth=6, learning_rate=0.05, early_stop_patience=5)
+        model = nre_train(d, cfg, trace=hook)
+        last = model.history[-1][0]
+        assert last < max(snapshots)  # training went on past the restored epoch
+        assert [row[0] for row in model.history] == list(range(last + 1))
+        np.testing.assert_array_equal(model.bank.params, snapshots[last])
 
     def test_padding_stays_zero_and_rules_view_the_bank(self):
         rng = np.random.default_rng(17)
@@ -488,7 +513,7 @@ class TestPersistence:
             code = main(["train", "--data", str(data), "--out", str(out), "--max-depth", "3",
                          "--epochs", "3", "--learning-rate", "1e308"])
         assert code == 3
-        assert "non-finite parameters" in capsys.readouterr().err
+        assert "training diverged at epoch" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_round_trips(self, tmp_path):

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dataset
@@ -15,10 +15,18 @@ from nre.tree import (
     TreeNode,
     best_split,
     build_tree,
-    margin_split_gain,
 )
 from nre.rules import extract_rules
-from reference_oracle import reference_build_tree
+from reference_oracle import (
+    margin_split_gain,
+    reference_build_tree,
+    reference_depth,
+    reference_extract_rules,
+    reference_feature_set,
+    reference_leaves,
+    reference_n_leaves,
+    reference_pretty,
+)
 
 
 def brute_force_best_split(X, y, min_leaf=1):
@@ -272,6 +280,29 @@ class TestBuildTree:
 
         check(tree.root, np.arange(d.n_samples))
         assert sum(leaf.n_samples for leaf in tree.leaves()) == d.n_samples
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(d=gridded_datasets(), max_depth=st.integers(1, 6), min_leaf=st.integers(1, 4))
+    @example(  # a constant column: the tree is a single leaf
+        d=Dataset(np.full((3, 1), 2.0), np.array([1, -1, 1]), ("x0",)), max_depth=1, min_leaf=1
+    )
+    def test_walk_matches_recursive_traversals(self, d, max_depth, min_leaf):
+        built = build_tree(d, max_depth=max_depth, min_leaf=min_leaf)
+        names = [f"f{j}" for j in range(d.n_features)]
+        for tree in (built, DecisionTree.from_dict(built.to_dict())):
+            assert tree.feature_set == reference_feature_set(tree)
+            assert tree.depth() == reference_depth(tree)
+            assert tree.n_leaves() == reference_n_leaves(tree)
+            assert tree.pretty() == reference_pretty(tree)
+            assert tree.pretty(names) == reference_pretty(tree, names)
+            leaves, expected = tree.leaves(), reference_leaves(tree)
+            assert len(leaves) == len(expected)
+            assert all(a is b for a, b in zip(leaves, expected))
+            assert extract_rules(tree) == reference_extract_rules(tree)
+
+    def test_feature_set_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            DecisionTree(root=TreeNode(n_pos=1, n_neg=0), max_depth=1, feature_set=(0,))
 
     def test_adjacent_doubles_give_a_single_leaf(self):
         # no double lies strictly between 1 and 1+eps or between 1+eps and 1+2eps,
