@@ -19,6 +19,7 @@ from .data import Dataset, StandardizationParams, standardize_apply, standardize
 from .errors import DataError, ModelFormatError
 from .neural import (
     AdamState,
+    BankPass,
     NeuralRule,
     RuleBank,
     adam_step,
@@ -123,15 +124,23 @@ def logistic_loss(u, y):
     return loss, dloss
 
 
-def model_loss_and_grad(bank: RuleBank, X_t: np.ndarray, labels: np.ndarray, l2: float = 0.0):
+def model_loss_and_grad(
+    bank: RuleBank,
+    X_t: np.ndarray,
+    labels: np.ndarray,
+    l2: float = 0.0,
+    fp: BankPass | None = None,
+):
     """Mean logistic loss of the summed rule outputs plus optional L2 shrinkage.
 
     ``X_t`` holds the batch's tree-feature columns. Returns the objective value
     and its gradient over ``bank.params``; the gradient is ``bank.grad``, which
     the next call overwrites. With shrinkage l2=rho the gradient is the data
-    gradient plus 2*rho*params.
+    gradient plus 2*rho*params. ``fp``, when given, must be ``bank.forward(X_t)``
+    at the current parameters; it saves running that pass again.
     """
-    fp = bank.forward(X_t)
+    if fp is None:
+        fp = bank.forward(X_t)
     losses, dscores = logistic_loss(fp.scores, labels)
     grad = bank.backward(X_t, fp, dscores / X_t.shape[0])
     loss = float(losses.mean())
@@ -141,11 +150,28 @@ def model_loss_and_grad(bank: RuleBank, X_t: np.ndarray, labels: np.ndarray, l2:
     return loss, grad
 
 
-def _eval_bank(bank, X_t, labels):
-    scores = bank.scores(X_t)
+def _loss_and_error(scores, labels):
     losses, _ = logistic_loss(scores, labels)
     preds = np.where(scores >= 0.0, 1, -1)
     return float(losses.mean()), float(np.mean(preds != labels))
+
+
+def _eval_bank(bank, X_t, labels):
+    return _loss_and_error(bank.scores(X_t), labels)
+
+
+def _shuffled_pass(bank, X_t, labels, rng):
+    """One forward pass over the rows of X_t in a fresh random order.
+
+    Returns those rows and labels, the pass, and the loss and error of its
+    scores, taken back in the rows' given order.
+    """
+    order = rng.permutation(X_t.shape[0])
+    X_b = X_t[order]
+    fp = bank.forward(X_b)
+    scores = np.empty_like(fp.scores)
+    scores[order] = fp.scores
+    return X_b, labels[order], fp, _loss_and_error(scores, labels)
 
 
 def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
@@ -154,7 +180,9 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
     The optional ``trace(stage, payload)`` hook fires at every stage boundary
     ("standardize", "tree", "rules", "neural_init", one "train_epoch" per epoch
     including the epoch-0 baseline, then "done"), which makes the pipeline
-    order observable and lets callers write mid-training checkpoints.
+    order observable and lets callers write mid-training checkpoints. The hook
+    must not modify the model: with full batches, an epoch's history row comes
+    from the forward pass that the next step then reuses.
 
     A non-finite training loss after an epoch raises FloatingPointError naming
     that epoch. Early stopping restores the parameters of the epoch with the
@@ -212,8 +240,14 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
 
     state = AdamState.for_params(bank.params.size, alpha=cfg.learning_rate)
     X_train, y_train = X_t[train_idx], y[train_idx]
+    # A full batch's history pass runs at the next step's parameters, over the
+    # next step's rows: that one pass serves both.
+    full = batch == n_train
 
-    loss0, err0 = _eval_bank(bank, X_train, y_train)
+    if full:
+        X_b, y_b, fp, (loss0, err0) = _shuffled_pass(bank, X_train, y_train, rng)
+    else:
+        loss0, err0 = _eval_bank(bank, X_train, y_train)
     model.history = [(0, loss0, err0)]
     emit("train_epoch", {"epoch": 0, "loss": loss0, "error": err0, "model": model})
 
@@ -221,12 +255,17 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
     best_params = None
     stale = 0
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(n_train)
-        for start in range(0, n_train, batch):
-            bidx = train_idx[order[start : start + batch]]
-            _, grad = model_loss_and_grad(bank, X_t[bidx], y[bidx], l2=cfg.l2)
+        if full:
+            _, grad = model_loss_and_grad(bank, X_b, y_b, l2=cfg.l2, fp=fp)
             adam_step(bank.params, grad, state)
-        loss_e, err_e = _eval_bank(bank, X_train, y_train)
+            X_b, y_b, fp, (loss_e, err_e) = _shuffled_pass(bank, X_train, y_train, rng)
+        else:
+            order = rng.permutation(n_train)
+            for start in range(0, n_train, batch):
+                bidx = train_idx[order[start : start + batch]]
+                _, grad = model_loss_and_grad(bank, X_t[bidx], y[bidx], l2=cfg.l2)
+                adam_step(bank.params, grad, state)
+            loss_e, err_e = _eval_bank(bank, X_train, y_train)
         if not np.isfinite(loss_e):
             raise FloatingPointError(f"training diverged at epoch {epoch}: loss {loss_e}")
         model.history.append((epoch, loss_e, err_e))
@@ -341,11 +380,11 @@ def save_model(m: NREModel, path: str) -> None:
 
 def load_model(path: str) -> NREModel:
     """Read a model file written by save_model; any malformed content is a ModelFormatError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        payload = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as e:
+        payload = json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ModelFormatError(f"not a valid model file: {e}") from e
     if not isinstance(payload, dict):
         raise ModelFormatError("model file must contain a JSON object")
@@ -364,7 +403,7 @@ def load_model(path: str) -> NREModel:
         if std.means.ndim != 1 or std.stds.shape != std.means.shape:
             raise ValueError("standardization means and stds must be lists of one length")
         tf = tuple(payload["tree_features"])
-        if not all(isinstance(f, int) and 0 <= f < std.means.size for f in tf):
+        if not all(type(f) is int and 0 <= f < std.means.size for f in tf):
             raise ValueError(f"tree features {tf} do not index the {std.means.size} columns")
         rules = []
         for rp in payload["rules"]:
@@ -379,5 +418,5 @@ def load_model(path: str) -> NREModel:
         tree = DecisionTree.from_dict(payload["source_tree"])
         cfg = TrainConfig(**payload["config"])
         return NREModel(std, rules, cfg, tree, degenerate=not rules)
-    except (KeyError, TypeError, IndexError, ValueError) as e:
+    except (DataError, KeyError, TypeError, IndexError, ValueError) as e:
         raise ModelFormatError(f"malformed model file: {e}") from e

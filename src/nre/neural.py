@@ -7,6 +7,13 @@ the same width, which lets the support grow non-convex during training. The
 min pool routes each sample's gradient through its least confident unit only,
 and samples outside the support contribute exactly zero gradient.
 
+The backward pass finds that unit by an equality mask, ``final == pooled``,
+instead of an argmin over the unit axis. Where two units tie for the minimum on
+a support row the mask holds both; the mask then has more nonzero gradient
+entries than there are support rows with nonzero gradient, and only then does
+the backward pass fall back to the argmin, so a tie still routes to the lowest
+unit index exactly as before.
+
 All rules of a model are computed together by a :class:`RuleBank`, which lays
 them out as fixed-width padded layers over one flat parameter vector, the way
 Neural Random Forests (Biau, Scornet & Welbl 2019) lay out tree-derived units.
@@ -190,9 +197,12 @@ class RuleBank:
         """
         np.matmul(fp.pooled, upstream, out=self._gc)
         g = np.where(fp.pooled > 0.0, upstream * self.c[:, None], 0.0)
-        argmin = np.argmin(fp.final, axis=1)  # the lowest index on ties
-        G = np.zeros_like(fp.final)
-        np.put_along_axis(G, argmin[:, None, :], g[:, None, :], axis=1)
+        G = np.where(fp.final == fp.pooled[:, None, :], g[:, None, :], 0.0)
+        if np.count_nonzero(G) != np.count_nonzero(g):
+            # a tie on a support row (or a NaN or all-inf column): lowest index wins
+            argmin = np.argmin(fp.final, axis=1)
+            G = np.zeros_like(fp.final)
+            np.put_along_axis(G, argmin[:, None, :], g[:, None, :], axis=1)
         if self.deep:
             gW2, gB2 = self._gW2B2
             np.matmul(G, fp.act1.transpose(0, 2, 1), out=gW2)

@@ -31,6 +31,10 @@ from .errors import DataError
 SPLIT_SCAN_CELLS = 1 << 18
 
 
+def _is_index(v) -> bool:
+    return type(v) is int and v >= 0
+
+
 @dataclass
 class TreeNode:
     n_pos: int
@@ -68,8 +72,14 @@ class TreeNode:
 
     @staticmethod
     def from_dict(d: dict) -> "TreeNode":
+        """The node of a ``to_dict`` form; a count or feature that is not a
+        non-negative int, or a threshold that is not a number, is a ValueError."""
+        if not (_is_index(d["n_pos"]) and _is_index(d["n_neg"])):
+            raise ValueError(f"tree node counts {d['n_pos']!r}, {d['n_neg']!r} are not counts")
         if d["kind"] == "leaf":
             return TreeNode(n_pos=d["n_pos"], n_neg=d["n_neg"])
+        if not (_is_index(d["feature"]) and type(d["threshold"]) in (int, float)):
+            raise ValueError(f"tree split {d['feature']!r} <= {d['threshold']!r} is not a split")
         return TreeNode(
             n_pos=d["n_pos"],
             n_neg=d["n_neg"],
@@ -207,7 +217,8 @@ def _scan(
         right = margin - left
         gains = left * left / n_left + right * right / n_right - parent_term
         lo, hi = xs[:, first:stop], xs[:, first + 1 : stop + 1]
-        mids = (lo + hi) / 2
+        mids = lo + hi
+        mids *= 0.5  # rounds exactly as / 2 does
         gains[~((lo < mids) & (mids < hi))] = -np.inf
         k = np.argmax(gains, axis=1)  # first max = lowest threshold
         top = gains[np.arange(k.size), k]

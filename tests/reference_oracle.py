@@ -6,6 +6,10 @@ computes the same values and gradients for all rules and rows at once; the
 tests compare the two, and check this oracle against finite differences,
 including its gradient with respect to the input point.
 
+``reference_bank_backward`` is the rule bank's backward pass as it was when it
+found each row's pooled unit with an argmin over the unit axis; the bank now
+routes by an equality mask, and the tests require bit-identical gradients.
+
 ``reference_build_tree`` is the recursive tree growth that argsorts every
 feature at every node, one feature at a time. ``nre.tree.build_tree`` sorts
 each feature once and scans all features of a node together; the tests require
@@ -34,7 +38,7 @@ import numpy as np
 
 from nre.data import Dataset, _delimiter_for, _open_text, _values_equal
 from nre.errors import DataError
-from nre.neural import NeuralRule
+from nre.neural import BankPass, NeuralRule, RuleBank
 from nre.rules import BALANCED_LEAF_VALUE, ConjunctiveRule, Literal
 from nre.tree import DecisionTree, TreeNode
 
@@ -109,6 +113,30 @@ def backward(n: NeuralRule, trace: ForwardTrace, upstream: float) -> RuleGradien
         gb1[k] = g
         dx_t = g * n.w1[k]
     return RuleGradients(gw1, gb1, gw2, gb2, dc, dx_t)
+
+
+def reference_bank_backward(bank: RuleBank, X_t: np.ndarray, fp: BankPass, upstream: np.ndarray):
+    """Gradient of sum_n upstream[n] * (summed rule outputs of row n).
+
+    Writes into and returns ``grad``. Outside a rule's support its
+    gradient is exactly zero; inside, only the pooled unit carries
+    gradient, and in deep rules it fans out to the first-layer units with
+    positive activation.
+    """
+    np.matmul(fp.pooled, upstream, out=bank._gc)
+    g = np.where(fp.pooled > 0.0, upstream * bank.c[:, None], 0.0)
+    argmin = np.argmin(fp.final, axis=1)  # the lowest index on ties
+    G = np.zeros_like(fp.final)
+    np.put_along_axis(G, argmin[:, None, :], g[:, None, :], axis=1)
+    if bank.deep:
+        gW2, gB2 = bank._gW2B2
+        np.matmul(G, fp.act1.transpose(0, 2, 1), out=gW2)
+        G.sum(axis=2, out=gB2)
+        G = np.matmul(bank.W2.transpose(0, 2, 1), G)
+        G *= fp.act1 > 0.0
+    np.matmul(G, X_t, out=bank._gW1)
+    G.sum(axis=2, out=bank._gB1)
+    return bank.grad
 
 
 def reference_best_split(

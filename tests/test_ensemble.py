@@ -1,7 +1,10 @@
+import copy
 import hashlib
 import json
 import math
 import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from conftest import (
     oracle_gradient,
     random_dataset,
 )
-from nre.cli import main
+from nre.cli import _write_dataset_csv, main
 from nre.data import (
     Dataset,
     StandardizationParams,
@@ -231,6 +234,48 @@ class TestTrainPipeline:
         assert len(model.history) == 18
         assert [row[0] for row in model.history] == list(range(18))
 
+    @pytest.mark.parametrize("batch_size", [None, 64])
+    def test_forward_passes_per_run(self, monkeypatch, batch_size):
+        rows = []
+        real_forward = RuleBank.forward
+
+        def counted(bank, X_t):
+            rows.append(X_t.shape[0])
+            return real_forward(bank, X_t)
+
+        monkeypatch.setattr(RuleBank, "forward", counted)
+        d = easy_dataset(np.random.default_rng(3), n=300)
+        epochs = 7
+        model = nre_train(d, TrainConfig(max_depth=3, epochs=epochs, batch_size=batch_size))
+        assert 300 <= SCORE_CHUNK_CELLS // model.bank.B1.size  # history scoring is one chunk
+        if batch_size is None:
+            # the history pass of each epoch is the next step's forward pass
+            assert rows == [300] * (epochs + 1)
+        else:
+            # one pass per step, then the history pass of the epoch
+            assert rows == [300] + epochs * ([64] * 4 + [44] + [300])
+
+    @pytest.mark.parametrize("deep", [False, True])
+    @pytest.mark.parametrize("batch_size", [None, 64])
+    def test_history_rows_match_snapshot_parameters(self, batch_size, deep):
+        d = random_dataset(np.random.default_rng(4), 300, 3)
+        snapshots = {}
+
+        def hook(stage, payload):
+            if stage == "train_epoch":
+                snapshots[payload["epoch"]] = payload["model"].bank.params.copy()
+
+        cfg = TrainConfig(max_depth=4, epochs=12, deep=deep, batch_size=batch_size,
+                          learning_rate=0.05, l2=1e-3)
+        model = nre_train(d, cfg, trace=hook)
+        assert len(model.history) == 13
+        X_t = standardize_apply(d, model.standardization).features[:, list(model.tree_features)]
+        for epoch, loss, error in model.history:
+            model.bank.params[:] = snapshots[epoch]
+            scores = model.bank.forward(X_t).scores
+            assert abs(loss - logistic_loss(scores, d.labels)[0].mean()) <= 1e-12
+            assert abs(error - np.mean(np.where(scores >= 0.0, 1, -1) != d.labels)) <= 1e-12
+
 
 def oracle_loss_and_grad(rules, X, y):
     """Loss and gradient vector summed from single-point oracle passes."""
@@ -377,6 +422,71 @@ class TestEvaluate:
         assert evaluate(model, probe) == pytest.approx(wrong / probe.n_samples)
 
 
+def random_saved_model(seed, deep, path):
+    """Train a small random model, scatter its parameters over many magnitudes, save it."""
+    rng = np.random.default_rng(seed)
+    d = random_dataset(rng, int(rng.integers(20, 100)), int(rng.integers(1, 5)))
+    cfg = TrainConfig(
+        max_depth=int(rng.integers(1, 5)),
+        deep=deep,
+        epochs=2,
+        batch_size=[None, 8][int(rng.integers(2))],
+        l2=float(rng.choice([0.0, 1e-3])),
+        seed=int(rng.integers(1000)),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a single-leaf tree is a valid model too
+        model = nre_train(d, cfg)
+    params = model.bank.params
+    params *= rng.normal(size=params.size) * 10.0 ** rng.integers(-30, 31, size=params.size)
+    save_model(model, path)
+    return d, rng
+
+
+def mutate_bytes(rng, raw):
+    """One to three random byte edits: replace, delete, insert or truncate."""
+    raw = bytearray(raw)
+    for _ in range(int(rng.integers(1, 4))):
+        i = int(rng.integers(len(raw) + 1))
+        kind = int(rng.integers(4))
+        if kind == 0 and i < len(raw):
+            raw[i] = (raw[i] + int(rng.integers(1, 256))) % 256
+        elif kind == 1:
+            del raw[i : i + int(rng.integers(1, 9))]
+        elif kind == 2:
+            raw[i:i] = bytes(rng.choice(list(b'0123456789.-+eE,:[]{}" \\\xc3\xff'),
+                                        size=int(rng.integers(1, 4))).tolist())
+        else:
+            del raw[i:]
+    return bytes(raw)
+
+
+JSON_VALUES = [None, True, False, 0, -1, 3, 0.5, -2.5, 1e300, "", "leaf", [], [0.5], [[1.0]], {},
+               {"kind": "leaf", "n_pos": 1, "n_neg": 0}]
+
+
+def mutate_payload(rng, payload):
+    """Replace one random node of the JSON tree by a constant or another node, or delete it."""
+    slots = []
+    stack = [payload]
+    while stack:
+        node = stack.pop()
+        keys = node.keys() if isinstance(node, dict) else range(len(node))
+        for k in keys:
+            slots.append((node, k))
+            if isinstance(node[k], (dict, list)):
+                stack.append(node[k])
+    container, key = slots[int(rng.integers(len(slots)))]
+    kind = int(rng.integers(3))
+    if kind == 0:
+        container[key] = copy.deepcopy(JSON_VALUES[int(rng.integers(len(JSON_VALUES)))])
+    elif kind == 1:
+        other, other_key = slots[int(rng.integers(len(slots)))]
+        container[key] = copy.deepcopy(other[other_key])
+    else:
+        del container[key]
+
+
 class TestPersistence:
     def trained(self, tmp_path, deep=False):
         rng = np.random.default_rng(15)
@@ -451,6 +561,14 @@ class TestPersistence:
                 id="feature_outside_standardizer",
             ),
             pytest.param(lambda p, r: p["config"].update(epochs=0), id="invalid_config"),
+            pytest.param(lambda p, r: p["tree_features"].__setitem__(0, True), id="bool_feature"),
+            pytest.param(
+                lambda p, r: p["standardization"]["stds"].__setitem__(0, 0.0), id="zero_std"
+            ),
+            pytest.param(lambda p, r: p["source_tree"]["root"].update(n_pos="7"), id="str_count"),
+            pytest.param(
+                lambda p, r: p["source_tree"]["root"].update(threshold=None), id="no_threshold"
+            ),
         ],
     )
     def test_malformed_rules_rejected(self, tmp_path, capsys, mutate):
@@ -515,6 +633,53 @@ class TestPersistence:
         assert code == 3
         assert "training diverged at epoch" in capsys.readouterr().err
         assert not out.exists()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), deep=st.booleans())
+    def test_save_load_save_is_byte_identical(self, seed, deep):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = os.path.join(tmp, "m.json"), os.path.join(tmp, "again.json")
+            random_saved_model(seed, deep, path)
+            save_model(load_model(path), again)
+            with open(path, "rb") as a, open(again, "rb") as b:
+                assert a.read() == b.read()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), deep=st.booleans(), rechecksum=st.booleans())
+    def test_mutated_file_is_rejected_or_unchanged(self, seed, deep, rechecksum):
+        """Raw byte edits, or JSON edits carrying a fresh checksum: only ModelFormatError.
+
+        A file that loads must also score: ``nre predict`` exits 0 on it, and 2
+        on every file the loader rejects.
+        """
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = os.path.join(tmp, "m.json"), os.path.join(tmp, "again.json")
+            data, out = os.path.join(tmp, "d.csv"), os.path.join(tmp, "out.csv")
+            d, rng = random_saved_model(seed, deep, path)
+            _write_dataset_csv(d, data)
+            with open(path, "rb") as fh:
+                original = fh.read()
+            if rechecksum:
+                payload = json.loads(original)
+                payload.pop("checksum")
+                mutate_payload(rng, payload)
+                payload["checksum"] = hashlib.sha256(_canonical(payload).encode()).hexdigest()
+                mutated = _canonical(payload).encode()
+            else:
+                mutated = mutate_bytes(rng, original)
+            with open(path, "wb") as fh:
+                fh.write(mutated)
+            predict = ["predict", "--model", path, "--data", data, "--out", out]
+            try:
+                loaded = load_model(path)
+            except ModelFormatError:
+                assert main(predict) == 2
+                return
+            assert main(predict) == 0
+            if not rechecksum:  # the checksum held, so the payload is the original one
+                save_model(loaded, again)
+                with open(again, "rb") as fh:
+                    assert fh.read() == original
 
     def test_config_round_trips(self, tmp_path):
         rng = np.random.default_rng(16)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_random_rule, oracle_gradient, random_tree, rule_kink_distance, rule_pass
 from nre.neural import (
     AdamState,
+    BankPass,
     NeuralRule,
     RuleBank,
     adam_step,
@@ -11,7 +14,7 @@ from nre.neural import (
     init_from_rule,
 )
 from nre.rules import ConjunctiveRule, Literal, extract_rules, rule_activations
-from reference_oracle import backward, forward
+from reference_oracle import backward, forward, reference_bank_backward
 
 
 def kink_distant_probe(rng, n, p=3, delta=1e-3):
@@ -267,6 +270,66 @@ class TestBackward:
                 bumped.b1[j] -= gap / 4  # unit j stays above the pooled minimum
                 assert rule_pass(bumped, x).scores[0] == rule_pass(n, x).scores[0]
                 break
+
+
+def tie_prone_rules(rng, deep, n_rules, q, dyadic):
+    """Random rules of 1-4 units, some with a unit copied onto another.
+
+    A copied last-layer row and bias make two units tie wherever either one
+    pools. With ``dyadic`` weights every sum is exact, so units also tie by
+    chance.
+    """
+    def draw(*shape):
+        if dyadic:
+            return rng.integers(-4, 5, size=shape) / 2.0
+        return rng.normal(size=shape)
+
+    rules = []
+    for _ in range(n_rules):
+        H = int(rng.integers(1, 5))
+        w1, b1 = draw(H, q), draw(H) + 1.0
+        w2, b2 = (draw(H, H), draw(H) + 1.0) if deep else (None, None)
+        if H > 1 and rng.random() < 0.7:
+            i, j = rng.choice(H, size=2, replace=False)
+            w, b = (w2, b2) if deep else (w1, b1)
+            w[j], b[j] = w[i], b[i]
+        rules.append(NeuralRule(tuple(range(q)), w1, b1, w2, b2, float(draw(1)[0]) or 1.0))
+    return rules
+
+
+class TestMaskRouting:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        deep=st.booleans(),
+        dyadic=st.booleans(),
+        n_rules=st.integers(1, 6),
+        n_rows=st.integers(1, 300),
+        broken_columns=st.booleans(),
+    )
+    def test_matches_argmin_reference_bit_for_bit(
+        self, seed, deep, dyadic, n_rules, n_rows, broken_columns
+    ):
+        rng = np.random.default_rng(seed)
+        q = int(rng.integers(1, 4))
+        bank = RuleBank(tie_prone_rules(rng, deep, n_rules, q, dyadic))
+        X = rng.integers(-6, 7, size=(n_rows, q)) / 4.0 if dyadic else rng.normal(size=(n_rows, q))
+        X[rng.random(n_rows) < 0.2] *= 40.0  # far rows, mostly outside every support
+        fp = bank.forward(X)
+        if broken_columns:  # an all-inf column and a NaN unit, as overflowing rows give
+            final, H = fp.final.copy(), bank.B1.shape[1]
+            final[rng.integers(n_rules), :, rng.integers(n_rows)] = np.inf
+            final[rng.integers(n_rules), rng.integers(H), rng.integers(n_rows)] = np.nan
+            fp = BankPass(fp.scores, final.min(axis=1), final, fp.act1)
+        support = fp.pooled > 0.0
+        if (np.count_nonzero(fp.final == fp.pooled[:, None, :], axis=1)[support] > 1).any():
+            event("tie on a support row")
+        if not support.any(axis=0).all():
+            event("row outside every support")
+        upstream = rng.normal(size=n_rows)
+        got = bank.backward(X, fp, upstream).copy()
+        want = reference_bank_backward(bank, X, fp, upstream).copy()
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestConvexSupport:
