@@ -5,12 +5,14 @@ downstream (trees, rules, neural rules) assumes this representation.
 """
 from __future__ import annotations
 
+import array
 import csv
 import gzip
 import math
 import os
 import urllib.error
 import urllib.request
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,34 +125,51 @@ def load_table(path: str, label_column, positive_label=None) -> Dataset:
     ``positive_label`` maps to +1 and the other value to -1. When
     ``positive_label`` is None the numerically (or lexicographically) larger
     raw value becomes +1.
+
+    The file is read in one pass that holds one row of text at a time: each
+    row's feature cells are converted with ``float()`` as it is read. A file
+    that cannot be decoded or decompressed, or a field the csv module refuses,
+    is a DataError naming the file.
     """
     if not os.path.exists(path):
         raise DataError(f"no such file: {path}")
-    delim = _delimiter_for(path)
-    with _open_text(path) as fh:
-        reader = csv.reader(fh, delimiter=delim)
-        rows = [row for row in reader if row]
-    if not rows:
-        raise DataError(f"empty file: {path}")
-    header = [h.strip() for h in rows[0]]
-    if isinstance(label_column, int):
-        label_idx = label_column
-        if not 0 <= label_idx < len(header):
-            raise DataError(f"label column index {label_idx} out of range")
-    else:
-        try:
-            label_idx = header.index(str(label_column))
-        except ValueError:
-            raise DataError(f"label column {label_column!r} not in header {header}") from None
-    body = rows[1:]
-    if not body:
+    raw_labels = []
+    cells = array.array("d")
+    bad_row = None  # (row number, feature cells) of the first row float() rejects
+    try:
+        with _open_text(path) as fh:
+            rows = filter(None, csv.reader(fh, delimiter=_delimiter_for(path)))
+            header = next(rows, None)
+            if header is None:
+                raise DataError(f"empty file: {path}")
+            header = [h.strip() for h in header]
+            if isinstance(label_column, int):
+                label_idx = label_column
+                if not 0 <= label_idx < len(header):
+                    raise DataError(f"label column index {label_idx} out of range")
+            else:
+                try:
+                    label_idx = header.index(str(label_column))
+                except ValueError:
+                    raise DataError(
+                        f"label column {label_column!r} not in header {header}"
+                    ) from None
+            for i, row in enumerate(rows, start=2):
+                if len(row) != len(header):
+                    raise DataError(f"row {i} has {len(row)} cells, expected {len(header)}")
+                raw_labels.append(row.pop(label_idx).strip())
+                if bad_row is None:
+                    try:
+                        cells.extend(map(float, row))
+                    except ValueError:
+                        # a later ragged row or a third class outranks a bad
+                        # cell, so it is reported after those checks
+                        bad_row = i, row
+    except (UnicodeDecodeError, csv.Error, EOFError, gzip.BadGzipFile, zlib.error) as e:
+        raise DataError(f"cannot read {path}: {e}") from None
+    if not raw_labels:
         raise DataError(f"no data rows in {path}")
 
-    raw_labels = []
-    for i, row in enumerate(body):
-        if len(row) != len(header):
-            raise DataError(f"row {i + 2} has {len(row)} cells, expected {len(header)}")
-        raw_labels.append(row.pop(label_idx).strip())
     distinct = sorted(set(raw_labels))
     if len(distinct) > 2:
         raise DataError(f"more than two classes in {path}: {distinct[:5]}")
@@ -164,19 +183,14 @@ def load_table(path: str, label_column, positive_label=None) -> Dataset:
         raise DataError(f"positive label {positive_label!r} not among values {distinct}")
 
     feature_names = tuple(h for j, h in enumerate(header) if j != label_idx)
-    try:
-        # numpy converts each str with float()'s own rules
-        features = np.array(body, dtype=np.float64)
-    except ValueError:
-        for i, row in enumerate(body):
-            for name, cell in zip(feature_names, row):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"non-numeric value {cell!r} at row {i + 2}, column {name!r}"
-                    ) from None
-        raise
+    if bad_row is not None:
+        i, row = bad_row
+        for name, cell in zip(feature_names, row):
+            try:
+                float(cell)
+            except ValueError:
+                raise DataError(f"non-numeric value {cell!r} at row {i}, column {name!r}") from None
+    features = np.frombuffer(cells, np.float64).reshape(len(raw_labels), len(feature_names))
     labels = np.where([is_positive[v] for v in raw_labels], 1, -1)
     return Dataset(features, labels, feature_names)
 

@@ -197,11 +197,15 @@ class RuleBank:
         """
         np.matmul(fp.pooled, upstream, out=self._gc)
         g = np.where(fp.pooled > 0.0, upstream * self.c[:, None], 0.0)
-        G = np.where(fp.final == fp.pooled[:, None, :], g[:, None, :], 0.0)
-        if np.count_nonzero(G) != np.count_nonzero(g):
+        live = g != 0.0
+        route = fp.final == fp.pooled[:, None, :]
+        route &= live[:, None, :]
+        G = np.zeros_like(fp.final)
+        if np.count_nonzero(route) == np.count_nonzero(live):
+            np.copyto(G, g[:, None, :], where=route)
+        else:
             # a tie on a support row (or a NaN or all-inf column): lowest index wins
             argmin = np.argmin(fp.final, axis=1)
-            G = np.zeros_like(fp.final)
             np.put_along_axis(G, argmin[:, None, :], g[:, None, :], axis=1)
         if self.deep:
             gW2, gB2 = self._gW2B2

@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from nre.data import Dataset
 from nre.ensemble import model_loss_and_grad
@@ -30,6 +31,32 @@ def random_dataset(rng, n, p, label_rule=None):
 def random_tree(rng, n=80, p=4, max_depth=3):
     d = random_dataset(rng, n, p)
     return build_tree(d, max_depth=max_depth), d
+
+
+ULP = np.finfo(np.float64).eps
+
+
+@st.composite
+def gridded_datasets(draw):
+    """Small datasets whose columns repeat values: integer grids, constants, adjacent
+    doubles and copies of the first column.
+
+    On the adjacent-doubles column a midpoint threshold can round to the upper
+    value, so x <= t sends rows on both sides of the scanned boundary left.
+    """
+    n = draw(st.integers(1, 40))
+    kinds = draw(
+        st.lists(st.sampled_from(["grid", "constant", "ulp", "copy"]), min_size=1, max_size=5)
+    )
+    cols = []
+    for kind in kinds:
+        k = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)
+        if kind == "copy":  # ties every gain of an earlier column
+            cols.append(cols[0] if cols else k)
+        else:
+            cols.append({"grid": k, "constant": np.full(n, 2.0), "ulp": 1.0 + k * ULP}[kind])
+    y = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)))
+    return Dataset(np.column_stack(cols), y, tuple(f"x{j}" for j in range(len(cols))))
 
 
 def make_random_rule(rng, deep, H=3, q=2, tree_features=(0, 2)):

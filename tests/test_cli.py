@@ -1,3 +1,4 @@
+import gzip
 import json
 import re
 import xml.etree.ElementTree as ET
@@ -181,6 +182,23 @@ class TestTrain:
             capsys, "train", "--data", str(tmp_path / "none.csv"), "--out", str(tmp_path / "m.json")
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "name, payload",
+        [
+            ("bad_utf8.csv", b"x0,label\n1,1\n\xff,-1\n"),
+            ("long_field.csv", b'x0,label\n"' + b"1" * 200_000 + b'",1\n2,-1\n'),
+            ("truncated.csv.gz", gzip.compress(b"x0,label\n" + b"1,1\n2,-1\n" * 500)[:-40]),
+        ],
+        ids=["bad_utf8", "long_field", "truncated_gz"],
+    )
+    def test_unreadable_data_file_is_data_error(self, tmp_path, capsys, name, payload):
+        data, model_path = tmp_path / name, tmp_path / "m.json"
+        data.write_bytes(payload)
+        code, _, err = run(capsys, "train", "--data", str(data), "--out", str(model_path))
+        assert code == 2
+        assert f"data error: cannot read {data}: " in err
+        assert not model_path.exists()
 
     def test_missing_required_flag_is_usage_error(self, capsys):
         code, _, err = run(capsys, "train", "--data", "x.csv")

@@ -3,7 +3,9 @@ import gzip
 import io
 import math
 import os
+import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +97,55 @@ class TestLoadTable:
         p = write(tmp_path / "t.csv", "f,cls\n1,a\n2,b\n")
         with pytest.raises(DataError, match="positive label"):
             load_table(p, label_column="cls", positive_label="z")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # the ragged row wins over an earlier bad cell
+            ("f,g,cls\nx,2,a\n3,4,b\n5,6,a\n7,b\n", "row 5 has 2 cells, expected 3"),
+            # so does a third class
+            ("f,cls\n1,a\nx,b\n2,c\n", "more than two classes"),
+            # the first bad row is reported, at its first bad cell
+            ("f,g,cls\n1,2,a\n3,y,b\nz,6,a\n", "non-numeric value 'y' at row 3, column 'g'"),
+        ],
+        ids=["ragged_row", "third_class", "first_bad_row"],
+    )
+    def test_bad_cell_reported_after_width_and_class_checks(self, tmp_path, text, message):
+        p = write(tmp_path / "t.csv", text)
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_table(p, label_column="cls")
+
+    @pytest.mark.parametrize(
+        "name, payload",
+        [
+            ("bad_utf8.csv", b"f,cls\n1,a\n\xff,b\n"),
+            ("long_field.csv", b'f,cls\n"' + b"1" * 200_000 + b'",a\n2,b\n'),
+            ("truncated.csv.gz", gzip.compress(b"f,cls\n" + b"1,a\n2,b\n" * 500)[:-40]),
+            ("plain.csv.gz", b"f,cls\n1,a\n2,b\n"),
+            ("corrupt.csv.gz", gzip.compress(b"")[:10] + b"\xff" * 20),
+        ],
+        ids=["bad_utf8", "long_field", "truncated_gz", "not_gz", "corrupt_gz"],
+    )
+    def test_reading_fault_is_data_error(self, tmp_path, name, payload):
+        p = tmp_path / name
+        p.write_bytes(payload)
+        with pytest.raises(DataError, match=f"cannot read {re.escape(str(p))}: "):
+            load_table(str(p), label_column="cls")
+
+    def test_peak_memory_near_the_feature_matrix(self, tmp_path):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(1000, 300))
+        lines = [",".join([f"x{j}" for j in range(300)] + ["cls"])]
+        lines += [",".join(map(repr, row)) + f",{i % 2}" for i, row in enumerate(X.tolist())]
+        p = write(tmp_path / "t.csv", "\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            d = load_table(p, label_column="cls")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(d.features, X)
+        assert peak <= 3 * d.features.nbytes
 
     def test_relabel_involution(self, tmp_path):
         rng = np.random.default_rng(0)

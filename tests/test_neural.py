@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_rule, oracle_gradient, random_tree, rule_kink_distance, rule_pass
+from conftest import (
+    gridded_datasets,
+    make_random_rule,
+    oracle_gradient,
+    random_tree,
+    rule_kink_distance,
+    rule_pass,
+)
 from nre.neural import (
     AdamState,
     BankPass,
@@ -14,6 +21,7 @@ from nre.neural import (
     init_from_rule,
 )
 from nre.rules import ConjunctiveRule, Literal, extract_rules, rule_activations
+from nre.tree import build_tree
 from reference_oracle import backward, forward, reference_bank_backward
 
 
@@ -121,6 +129,35 @@ class TestInit:
         for i in range(len(outputs)):
             for j in range(i + 1, len(outputs)):
                 assert float(outputs[i] @ outputs[j]) == 0.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        d=gridded_datasets(),
+        max_depth=st.integers(1, 6),
+        min_leaf=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_init_supports_tile_the_space(self, d, max_depth, min_leaf, seed):
+        tree = build_tree(d, max_depth=max_depth, min_leaf=min_leaf)
+        assume(tree.n_leaves() > 1)
+        rng = np.random.default_rng(seed)
+        X, (n, p) = d.features, d.features.shape
+        probes = np.vstack(
+            [
+                X,
+                rng.uniform(-0.5, 3.5, size=(200, p)),
+                X[rng.integers(n, size=(200, p)), np.arange(p)],  # columns mixed across rows
+            ]
+        )
+        off_thresholds = np.ones(len(probes), dtype=bool)
+        for node, _ in tree.walk():
+            if not node.is_leaf:
+                off_thresholds &= probes[:, node.feature] != node.threshold
+        probes = probes[off_thresholds]
+        rules, tf = extract_rules(tree), tree.feature_set
+        for make in (init_from_rule, init_deep_from_rule):
+            pooled = RuleBank([make(r, tf) for r in rules]).forward(probes[:, list(tf)]).pooled
+            assert np.array_equal(np.count_nonzero(pooled > 0.0, axis=0), np.ones(len(probes)))
 
 
 class TestForward:

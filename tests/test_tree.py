@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_dataset
+from conftest import ULP, gridded_datasets, random_dataset
 from nre.data import Dataset
 from nre.errors import DataError
 from nre import tree as tree_module
@@ -119,32 +119,6 @@ class TestBestSplit:
         assert unrestricted[1] == 0.5
         restricted = best_split(X, y, min_leaf=2)
         assert restricted is None or restricted[1] != 0.5
-
-
-ULP = np.finfo(np.float64).eps
-
-
-@st.composite
-def gridded_datasets(draw):
-    """Small datasets whose columns repeat values: integer grids, constants, adjacent
-    doubles and copies of the first column.
-
-    On the adjacent-doubles column a midpoint threshold can round to the upper
-    value, so x <= t sends rows on both sides of the scanned boundary left.
-    """
-    n = draw(st.integers(1, 40))
-    kinds = draw(
-        st.lists(st.sampled_from(["grid", "constant", "ulp", "copy"]), min_size=1, max_size=5)
-    )
-    cols = []
-    for kind in kinds:
-        k = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)
-        if kind == "copy":  # ties every gain of an earlier column
-            cols.append(cols[0] if cols else k)
-        else:
-            cols.append({"grid": k, "constant": np.full(n, 2.0), "ulp": 1.0 + k * ULP}[kind])
-    y = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)))
-    return Dataset(np.column_stack(cols), y, tuple(f"x{j}" for j in range(len(cols))))
 
 
 def xor9_dataset():
