@@ -170,6 +170,8 @@ def _checkpoint_path(model_path: str, iteration: int) -> str:
 
 def cmd_gen(args) -> int:
     seed = args.seed if args.seed is not None else 0
+    if seed < 0:
+        raise UsageError("--seed must be >= 0")
     meta = {"kind": args.kind, "seed": seed}
     if args.kind == "xor":
         n = args.n or 4000

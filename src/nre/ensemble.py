@@ -65,6 +65,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be finite and > 0")
         if not 0 <= self.l2 < np.inf:
             raise ValueError("l2 must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.max_rules is not None and self.max_rules < 1:
             raise ValueError("max_rules must be >= 1 when given")
         if self.early_stop_patience is not None and self.early_stop_patience < 1:
@@ -130,6 +132,7 @@ def model_loss_and_grad(
     labels: np.ndarray,
     l2: float = 0.0,
     fp: BankPass | None = None,
+    scratch: dict | None = None,
 ):
     """Mean logistic loss of the summed rule outputs plus optional L2 shrinkage.
 
@@ -137,12 +140,13 @@ def model_loss_and_grad(
     and its gradient over ``bank.params``; the gradient is ``bank.grad``, which
     the next call overwrites. With shrinkage l2=rho the gradient is the data
     gradient plus 2*rho*params. ``fp``, when given, must be ``bank.forward(X_t)``
-    at the current parameters; it saves running that pass again.
+    at the current parameters; it saves running that pass again. ``scratch``
+    goes to ``bank.backward``.
     """
     if fp is None:
         fp = bank.forward(X_t)
     losses, dscores = logistic_loss(fp.scores, labels)
-    grad = bank.backward(X_t, fp, dscores / X_t.shape[0])
+    grad = bank.backward(X_t, fp, dscores / X_t.shape[0], scratch)
     loss = float(losses.mean())
     if l2 > 0.0:
         grad += 2.0 * l2 * bank.params
@@ -160,15 +164,15 @@ def _eval_bank(bank, X_t, labels):
     return _loss_and_error(bank.scores(X_t), labels)
 
 
-def _shuffled_pass(bank, X_t, labels, rng):
-    """One forward pass over the rows of X_t in a fresh random order.
+def _shuffled_pass(bank, X_t, labels, rng, out=None):
+    """One forward pass over the rows of X_t in a fresh random order, into ``out``.
 
     Returns those rows and labels, the pass, and the loss and error of its
     scores, taken back in the rows' given order.
     """
     order = rng.permutation(X_t.shape[0])
     X_b = X_t[order]
-    fp = bank.forward(X_b)
+    fp = bank.forward(X_b, out=out)
     scores = np.empty_like(fp.scores)
     scores[order] = fp.scores
     return X_b, labels[order], fp, _loss_and_error(scores, labels)
@@ -182,7 +186,14 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
     including the epoch-0 baseline, then "done"), which makes the pipeline
     order observable and lets callers write mid-training checkpoints. The hook
     must not modify the model: with full batches, an epoch's history row comes
-    from the forward pass that the next step then reuses.
+    from the forward pass that the next step then reuses. With early stopping,
+    the payloads of epochs 1 on also carry that epoch's ``val_loss``.
+
+    The step's large arrays (the forward pass and the backward temporaries)
+    are made once and overwritten by the later steps of the same size: once
+    per run with full batches, once per epoch and batch size with minibatches.
+    So the epoch loop does not hand them back to the allocator and fault them
+    in again.
 
     A non-finite training loss after an epoch raises FloatingPointError naming
     that epoch. Early stopping restores the parameters of the epoch with the
@@ -243,10 +254,15 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
     # A full batch's history pass runs at the next step's parameters, over the
     # next step's rows: that one pass serves both.
     full = batch == n_train
+    # The step buffers: the forward pass fp and the backward temporaries. A
+    # minibatch epoch drops them for its short last batch and before its
+    # history pass, so that only one set is alive at a time.
+    scratch = {}
 
     if full:
         X_b, y_b, fp, (loss0, err0) = _shuffled_pass(bank, X_train, y_train, rng)
     else:
+        fp = None
         loss0, err0 = _eval_bank(bank, X_train, y_train)
     model.history = [(0, loss0, err0)]
     emit("train_epoch", {"epoch": 0, "loss": loss0, "error": err0, "model": model})
@@ -256,28 +272,36 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
     stale = 0
     for epoch in range(1, cfg.epochs + 1):
         if full:
-            _, grad = model_loss_and_grad(bank, X_b, y_b, l2=cfg.l2, fp=fp)
+            _, grad = model_loss_and_grad(bank, X_b, y_b, l2=cfg.l2, fp=fp, scratch=scratch)
             adam_step(bank.params, grad, state)
-            X_b, y_b, fp, (loss_e, err_e) = _shuffled_pass(bank, X_train, y_train, rng)
+            X_b, y_b, fp, (loss_e, err_e) = _shuffled_pass(bank, X_train, y_train, rng, out=fp)
         else:
             order = rng.permutation(n_train)
             for start in range(0, n_train, batch):
                 bidx = train_idx[order[start : start + batch]]
-                _, grad = model_loss_and_grad(bank, X_t[bidx], y[bidx], l2=cfg.l2)
+                X_b = X_t[bidx]
+                if fp is not None and fp.scores.size != bidx.size:
+                    fp, scratch = None, {}
+                fp = bank.forward(X_b, out=fp)
+                _, grad = model_loss_and_grad(bank, X_b, y[bidx], l2=cfg.l2, fp=fp, scratch=scratch)
                 adam_step(bank.params, grad, state)
+            fp, scratch = None, {}
             loss_e, err_e = _eval_bank(bank, X_train, y_train)
         if not np.isfinite(loss_e):
             raise FloatingPointError(f"training diverged at epoch {epoch}: loss {loss_e}")
         model.history.append((epoch, loss_e, err_e))
-        emit("train_epoch", {"epoch": epoch, "loss": loss_e, "error": err_e, "model": model})
+        payload = {"epoch": epoch, "loss": loss_e, "error": err_e, "model": model}
         if val_idx is not None:
-            val_loss, _ = _eval_bank(bank, X_t[val_idx], y[val_idx])
-            if val_loss < best_val:
-                best_val, best_params, best_epoch, stale = val_loss, bank.params.copy(), epoch, 0
-            else:
-                stale += 1
-                if stale >= cfg.early_stop_patience:
-                    break
+            val_loss = payload["val_loss"] = _eval_bank(bank, X_t[val_idx], y[val_idx])[0]
+        emit("train_epoch", payload)
+        if val_idx is None:
+            continue
+        if val_loss < best_val:
+            best_val, best_params, best_epoch, stale = val_loss, bank.params.copy(), epoch, 0
+        else:
+            stale += 1
+            if stale >= cfg.early_stop_patience:
+                break
     if best_params is not None:
         bank.params[:] = best_params
         del model.history[best_epoch + 1 :]
@@ -417,6 +441,10 @@ def load_model(path: str) -> NREModel:
             rules.append(NeuralRule(tf, w1, b1, w2, b2, float(rp["c"])))
         tree = DecisionTree.from_dict(payload["source_tree"])
         cfg = TrainConfig(**payload["config"])
-        return NREModel(std, rules, cfg, tree, degenerate=not rules)
-    except (DataError, KeyError, TypeError, IndexError, ValueError) as e:
+        model = NREModel(std, rules, cfg, tree, degenerate=not rules)
+        # numpy reads a string such as "nan" as a number
+        if not all(np.isfinite(a).all() for a in (std.means, std.stds, model.bank.params)):
+            raise ValueError("non-finite standardizer value or parameter")
+        return model
+    except (DataError, KeyError, TypeError, IndexError, ValueError, OverflowError) as e:
         raise ModelFormatError(f"malformed model file: {e}") from e

@@ -173,34 +173,55 @@ class RuleBank:
             view.w1[...], view.b1[...], view.c[...] = r.w1, r.b1, r.c
             self.rules.append(view)
 
-    def forward(self, X_t: np.ndarray) -> BankPass:
-        """Every rule on every row of X_t, the (N, q) tree-feature columns."""
-        act1 = np.matmul(self.W1, X_t.T)
+    def forward(self, X_t: np.ndarray, out: BankPass | None = None) -> BankPass:
+        """Every rule on every row of X_t, the (N, q) tree-feature columns.
+
+        ``out``, an earlier pass of this bank over N rows, receives the new
+        pass in its own arrays instead of new ones; a pass over another number
+        of rows is a ValueError.
+        """
+        if out is None:
+            out = _NO_PASS
+        elif out.final.shape != self.B1.shape + (X_t.shape[0],):
+            raise ValueError(f"out holds a pass of shape {out.final.shape}, "
+                             f"not {self.B1.shape + (X_t.shape[0],)}")
+        act1 = np.matmul(self.W1, X_t.T, out=out.act1 if self.deep else out.final)
         act1 += self.B1[:, :, None]
         np.maximum(act1, 0.0, out=act1)
         final = act1
         if self.deep:
-            final = np.matmul(self.W2, act1)
+            final = np.matmul(self.W2, act1, out=out.final)
             final += self.B2[:, :, None]
             np.maximum(final, 0.0, out=final)
         final[self._pad] = np.inf
-        pooled = final.min(axis=1)
-        return BankPass(self.c @ pooled, pooled, final, act1 if self.deep else None)
+        pooled = final.min(axis=1, out=out.pooled)
+        scores = np.matmul(self.c, pooled, out=out.scores)
+        return BankPass(scores, pooled, final, act1 if self.deep else None)
 
-    def backward(self, X_t: np.ndarray, fp: BankPass, upstream: np.ndarray) -> np.ndarray:
+    def backward(
+        self, X_t: np.ndarray, fp: BankPass, upstream: np.ndarray, scratch: dict | None = None
+    ) -> np.ndarray:
         """Gradient of sum_n upstream[n] * (summed rule outputs of row n).
 
         Writes into and returns ``grad``. Outside a rule's support its
         gradient is exactly zero; inside, only the pooled unit carries
         gradient, and in deep rules it fans out to the first-layer units with
-        positive activation.
+        positive activation. ``scratch``, a dict kept by the caller, holds the
+        temporaries from one call to the next, keyed by name and shape.
         """
+        cells, rows = fp.final.shape, fp.pooled.shape
         np.matmul(fp.pooled, upstream, out=self._gc)
-        g = np.where(fp.pooled > 0.0, upstream * self.c[:, None], 0.0)
-        live = g != 0.0
-        route = fp.final == fp.pooled[:, None, :]
+        inside = np.greater(fp.pooled, 0.0, out=_scratch(scratch, "inside", rows, bool))
+        g = _scratch(scratch, "g", rows)  # upstream * c on support rows, +0.0 elsewhere
+        g.fill(0.0)
+        np.multiply(upstream, self.c[:, None], out=g, where=inside)
+        live = np.not_equal(g, 0.0, out=_scratch(scratch, "live", rows, bool))
+        route = np.equal(
+            fp.final, fp.pooled[:, None, :], out=_scratch(scratch, "route", cells, bool)
+        )
         route &= live[:, None, :]
-        G = np.zeros_like(fp.final)
+        G = _scratch(scratch, "G", cells)
+        G.fill(0.0)
         if np.count_nonzero(route) == np.count_nonzero(live):
             np.copyto(G, g[:, None, :], where=route)
         else:
@@ -211,8 +232,8 @@ class RuleBank:
             gW2, gB2 = self._gW2B2
             np.matmul(G, fp.act1.transpose(0, 2, 1), out=gW2)
             G.sum(axis=2, out=gB2)
-            G = np.matmul(self.W2.transpose(0, 2, 1), G)
-            G *= fp.act1 > 0.0
+            G = np.matmul(self.W2.transpose(0, 2, 1), G, out=_scratch(scratch, "W2tG", cells))
+            G *= np.greater(fp.act1, 0.0, out=_scratch(scratch, "act1_pos", cells, bool))
         np.matmul(G, X_t, out=self._gW1)
         G.sum(axis=2, out=self._gB1)
         return self.grad
@@ -224,6 +245,19 @@ class RuleBank:
         for start in range(0, X_t.shape[0], rows):
             out[start : start + rows] = self.forward(X_t[start : start + rows]).scores
         return out
+
+
+_NO_PASS = BankPass(None, None, None, None)
+
+
+def _scratch(scratch: dict | None, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """The array ``scratch[name, shape]``, made on first use; a new one without a scratch."""
+    if scratch is None:
+        return np.empty(shape, dtype)
+    buf = scratch.get((name, shape))
+    if buf is None:
+        buf = scratch[name, shape] = np.empty(shape, dtype)
+    return buf
 
 
 def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:

@@ -59,6 +59,13 @@ class TestGen:
         header = out.read_text().splitlines()[0].split(",")
         assert len(header) == 501  # 500 features + label
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        code, _, err = run(capsys, "gen", "xor", "--n", "50", "--seed", "-1", "--out", str(out))
+        assert code == 1
+        assert "--seed must be >= 0" in err
+        assert not out.exists()
+
     def test_cells_are_float_reprs(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
         code, _, _ = run(capsys, "gen", "xor", "--n", "50", "--seed", "4", "--out", str(out))
@@ -175,6 +182,22 @@ class TestTrain:
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert "learning_rate must be finite and > 0" in err
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("command, source", [("train", "flag"), ("train", "config"),
+                                                 ("cv", "flag"), ("cv", "config")])
+    def test_negative_seed_is_usage_error(self, tmp_path, small_xor_csv, capsys, command, source):
+        model_path = tmp_path / "m.json"
+        argv = [command, "--data", small_xor_csv, "--out", str(model_path)]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            cfg = tmp_path / "nre.cfg"
+            cfg.write_text("seed = -1\n")
+            argv += ["--config", str(cfg)]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "seed must be >= 0" in err
         assert not model_path.exists()
 
     def test_missing_data_file(self, tmp_path, capsys):

@@ -1,10 +1,12 @@
 import copy
+import gc
 import hashlib
 import json
 import math
 import os
 import tempfile
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -42,7 +44,7 @@ from nre.ensemble import (
 )
 from nre.errors import DataError, ModelFormatError
 from nre.neural import SCORE_CHUNK_CELLS, NeuralRule, RuleBank
-from nre.tree import build_tree
+from nre.tree import DecisionTree, TreeNode, build_tree
 from reference_oracle import forward
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -110,6 +112,7 @@ class TestTrainConfig:
             {"learning_rate": math.inf},
             {"l2": math.nan},
             {"l2": math.inf},
+            {"seed": -1},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -239,9 +242,9 @@ class TestTrainPipeline:
         rows = []
         real_forward = RuleBank.forward
 
-        def counted(bank, X_t):
+        def counted(bank, X_t, out=None):
             rows.append(X_t.shape[0])
-            return real_forward(bank, X_t)
+            return real_forward(bank, X_t, out=out)
 
         monkeypatch.setattr(RuleBank, "forward", counted)
         d = easy_dataset(np.random.default_rng(3), n=300)
@@ -254,6 +257,86 @@ class TestTrainPipeline:
         else:
             # one pass per step, then the history pass of the epoch
             assert rows == [300] + epochs * ([64] * 4 + [44] + [300])
+
+    @pytest.mark.parametrize("deep", [False, True])
+    @pytest.mark.parametrize("batch_size", [None, 64])
+    def test_steps_reuse_one_set_of_buffers(self, monkeypatch, batch_size, deep):
+        """Full batch: every pass of the run is written into the first one.
+        Minibatch: every step of an epoch into the first step of its size, and
+        no step's buffers are alive at another size's step or a history pass."""
+        epoch, firsts, shared, alive, refs, scratches = [0], {}, [], [], [], {}
+        real_forward, real_backward = RuleBank.forward, RuleBank.backward
+
+        def key(X_t):
+            return X_t.shape[0] if batch_size is None else (epoch[0], X_t.shape[0])
+
+        def forward(bank, X_t, out=None):
+            alive.append(sum(r() is not None for r in firsts.values()))
+            fp = real_forward(bank, X_t, out=out)
+            if batch_size is None or X_t.shape[0] != 300:  # not a minibatch history pass
+                first = firsts.setdefault(key(X_t), weakref.ref(fp.final))()
+                shared.append(first is not None and np.shares_memory(first, fp.final))
+            refs.append(weakref.ref(fp.final))
+            return fp
+
+        def backward(bank, X_t, fp, upstream, scratch=None):
+            assert scratches.setdefault(key(X_t), scratch) is scratch is not None
+            return real_backward(bank, X_t, fp, upstream, scratch)
+
+        def hook(stage, payload):
+            if stage == "train_epoch":
+                epoch[0] = payload["epoch"] + 1
+
+        monkeypatch.setattr(RuleBank, "forward", forward)
+        monkeypatch.setattr(RuleBank, "backward", backward)
+        d = easy_dataset(np.random.default_rng(3), n=300)
+        epochs = 7
+        cfg = TrainConfig(max_depth=3, epochs=epochs, batch_size=batch_size, deep=deep)
+        nre_train(d, cfg, trace=hook)
+        if batch_size is None:
+            assert list(firsts) == [300]
+            assert alive == [0] + [1] * epochs
+        else:
+            steps = [(e, rows) for e in range(1, epochs + 1) for rows in (64, 44)]
+            assert list(firsts) == list(scratches) == steps
+            # four steps of 64 rows, one of 44, then the history pass
+            assert alive == [0] + epochs * [0, 1, 1, 1, 0, 0]
+        assert len(shared) == len(alive) - (0 if batch_size is None else epochs + 1)
+        assert all(shared)
+        # and none of them outlives the run: the model holds no step buffers
+        scratches.clear()
+        gc.collect()
+        assert not any(r() is not None for r in refs)
+
+    @pytest.mark.parametrize("batch_size", [None, 64])
+    def test_val_loss_in_epoch_payloads(self, batch_size):
+        d = gen_rotated_xor(600, 30, 0.6, 0)
+        cfg = TrainConfig(max_depth=6, epochs=60, batch_size=batch_size, learning_rate=0.05,
+                          early_stop_patience=5)
+        seen = {}
+
+        def hook(stage, payload):
+            if stage == "train_epoch":
+                seen[payload["epoch"]] = payload.get("val_loss"), payload["model"].bank.params.copy()
+
+        model = nre_train(d, cfg, trace=hook)
+        assert seen[0][0] is None  # the baseline is not a candidate for the restored epoch
+        # the validation rows are the first draw of the run's generator
+        val_idx = np.random.default_rng(cfg.seed).permutation(600)[:60]
+        X_val = standardize_apply(d, model.standardization).features[val_idx]
+        val = {}
+        for epoch, (val_loss, params) in seen.items():
+            if epoch:
+                model.bank.params[:] = params
+                scores = model.bank.scores(X_val[:, list(model.tree_features)])
+                assert val_loss == logistic_loss(scores, d.labels[val_idx])[0].mean()
+                val[epoch] = val_loss
+        assert model.history[-1][0] == min(val, key=val.get) < max(val)
+
+        payloads = []
+        nre_train(d, TrainConfig(max_depth=3, epochs=3, batch_size=batch_size),
+                  trace=lambda stage, payload: payloads.append(payload))
+        assert not any("val_loss" in p for p in payloads if isinstance(p, dict))
 
     @pytest.mark.parametrize("deep", [False, True])
     @pytest.mark.parametrize("batch_size", [None, 64])
@@ -465,8 +548,8 @@ JSON_VALUES = [None, True, False, 0, -1, 3, 0.5, -2.5, 1e300, "", "leaf", [], [0
                {"kind": "leaf", "n_pos": 1, "n_neg": 0}]
 
 
-def mutate_payload(rng, payload):
-    """Replace one random node of the JSON tree by a constant or another node, or delete it."""
+def json_slots(payload):
+    """Every (container, key) pair of a JSON tree."""
     slots = []
     stack = [payload]
     while stack:
@@ -476,6 +559,12 @@ def mutate_payload(rng, payload):
             slots.append((node, k))
             if isinstance(node[k], (dict, list)):
                 stack.append(node[k])
+    return slots
+
+
+def mutate_payload(rng, payload):
+    """Replace one random node of the JSON tree by a constant or another node, or delete it."""
+    slots = json_slots(payload)
     container, key = slots[int(rng.integers(len(slots)))]
     kind = int(rng.integers(3))
     if kind == 0:
@@ -485,6 +574,69 @@ def mutate_payload(rng, payload):
         container[key] = copy.deepcopy(other[other_key])
     else:
         del container[key]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | FINITE | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=5,
+)
+# numpy reads these strings as numbers, and no float holds the int
+NUMBER_LIKE = st.sampled_from(["nan", "-inf", "1e999", 2**1100])
+
+
+def tree_nodes(p, depth):
+    counts = st.integers(0, 10**6)
+    leaf = st.builds(TreeNode, counts, counts)
+    if depth == 0:
+        return leaf
+    child = tree_nodes(p, depth - 1)
+    return leaf | st.builds(TreeNode, counts, counts, st.integers(0, p - 1), FINITE, child, child)
+
+
+@st.composite
+def random_models(draw):
+    """Models built field by field: a random standardizer, config and tree, and
+    shallow or deep rules of ragged widths whose parameters span many magnitudes."""
+    p = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def scattered(*shape):
+        return rng.normal(size=shape) * 10.0 ** rng.integers(-30, 31, size=shape)
+
+    deep = draw(st.booleans())
+    tf = tuple(draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=4, unique=True)))
+    rules = []
+    for h in draw(st.lists(st.integers(1, 4), max_size=5)):
+        w2, b2 = (scattered(h, h), scattered(h)) if deep else (None, None)
+        rules.append(NeuralRule(tf, scattered(h, len(tf)), scattered(h), w2, b2,
+                                float(scattered(1)[0])))
+    for value in draw(st.lists(FINITE, max_size=3)):  # subnormals, -0.0, 1e308 and the like
+        if rules:
+            w1 = rules[int(rng.integers(len(rules)))].w1
+            w1.flat[int(rng.integers(w1.size))] = value
+    cfg = TrainConfig(
+        max_depth=draw(st.integers(1, 12)),
+        min_leaf=draw(st.integers(1, 50)),
+        deep=deep,
+        epochs=draw(st.integers(1, 10**6)),
+        batch_size=draw(st.none() | st.integers(1, 4096)),
+        learning_rate=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+        l2=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        seed=draw(st.integers(0, 2**64)),
+        max_rules=draw(st.none() | st.integers(1, 100)),
+        early_stop_patience=draw(st.none() | st.integers(1, 100)),
+    )
+    std = StandardizationParams(scattered(p), np.abs(scattered(p)) + 5e-324)
+    tree = DecisionTree(draw(tree_nodes(p, 4)), max_depth=cfg.max_depth)
+    return NREModel(std, rules, cfg, tree, degenerate=not rules)
+
+
+def probes_for(model, seed):
+    rng = np.random.default_rng(seed)
+    p = model.standardization.means.size
+    return rng.normal(size=(20, p)) * 10.0 ** rng.integers(-3, 31, size=(20, 1))
 
 
 class TestPersistence:
@@ -569,6 +721,11 @@ class TestPersistence:
             pytest.param(
                 lambda p, r: p["source_tree"]["root"].update(threshold=None), id="no_threshold"
             ),
+            pytest.param(lambda p, r: r.update(c="nan"), id="nan_string"),
+            pytest.param(
+                lambda p, r: p["standardization"]["stds"].__setitem__(0, "inf"), id="inf_string"
+            ),
+            pytest.param(lambda p, r: r["layer1"][0]["w"].__setitem__(0, 2**1100), id="huge_int"),
         ],
     )
     def test_malformed_rules_rejected(self, tmp_path, capsys, mutate):
@@ -680,6 +837,58 @@ class TestPersistence:
                 save_model(loaded, again)
                 with open(again, "rb") as fh:
                     assert fh.read() == original
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(model=random_models(), probe_seed=st.integers(0, 2**32 - 1))
+    def test_random_model_round_trips_exactly(self, model, probe_seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = os.path.join(tmp, "m.json"), os.path.join(tmp, "again.json")
+            save_model(model, path)
+            loaded = load_model(path)
+            save_model(loaded, again)
+            with open(path, "rb") as a, open(again, "rb") as b:
+                assert a.read() == b.read()
+        assert loaded.bank.params.tobytes() == model.bank.params.tobytes()
+        assert loaded.config == model.config and loaded.degenerate == model.degenerate
+        probes = probes_for(model, probe_seed)
+        with np.errstate(all="ignore"):  # huge parameters may overflow to inf or NaN
+            np.testing.assert_array_equal(
+                nre_score_batch(loaded, probes), nre_score_batch(model, probes)
+            )
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(model=random_models(), data=st.data())
+    def test_single_field_mutation_loads_or_is_a_format_error(self, model, data):
+        """One field replaced by any JSON value, deleted, or a value inserted next to
+        it, under a fresh checksum: loading raises only ModelFormatError, and a
+        model that loads scores and saves again."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.json")
+            save_model(model, path)
+            with open(path, "rb") as fh:
+                payload = json.loads(fh.read())
+            payload.pop("checksum")
+            container, key = data.draw(st.sampled_from(json_slots(payload)))
+            kind = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+            value = data.draw(NUMBER_LIKE | JSON)
+            if kind == "replace":
+                container[key] = value
+            elif kind == "delete":
+                del container[key]
+            elif isinstance(container, list):
+                container.insert(key, value)
+            else:
+                container[data.draw(st.text(max_size=8))] = value
+            payload["checksum"] = hashlib.sha256(_canonical(payload).encode()).hexdigest()
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(_canonical(payload))
+            try:
+                loaded = load_model(path)
+            except ModelFormatError:
+                return
+            with np.errstate(all="ignore"):
+                nre_score_batch(loaded, probes_for(loaded, 0))
+            save_model(loaded, os.path.join(tmp, "again.json"))
 
     def test_config_round_trips(self, tmp_path):
         rng = np.random.default_rng(16)

@@ -343,9 +343,10 @@ class TestMaskRouting:
         n_rules=st.integers(1, 6),
         n_rows=st.integers(1, 300),
         broken_columns=st.booleans(),
+        reuse=st.booleans(),
     )
     def test_matches_argmin_reference_bit_for_bit(
-        self, seed, deep, dyadic, n_rules, n_rows, broken_columns
+        self, seed, deep, dyadic, n_rules, n_rows, broken_columns, reuse
     ):
         rng = np.random.default_rng(seed)
         q = int(rng.integers(1, 4))
@@ -364,9 +365,56 @@ class TestMaskRouting:
         if not support.any(axis=0).all():
             event("row outside every support")
         upstream = rng.normal(size=n_rows)
-        got = bank.backward(X, fp, upstream).copy()
+        scratch = None
+        if reuse:  # temporaries left by a call on other rows, then scribbled over
+            scratch = {}
+            other = rng.normal(size=(n_rows, q)) * 2.0
+            bank.backward(other, bank.forward(other), rng.normal(size=n_rows), scratch)
+            for buf in scratch.values():
+                buf.fill(True if buf.dtype == bool else np.nan)
+            dirty = dict(scratch)
+        got = bank.backward(X, fp, upstream, scratch).copy()
         want = reference_bank_backward(bank, X, fp, upstream).copy()
         assert np.array_equal(got, want, equal_nan=True)
+        if reuse:  # every temporary came from the scratch
+            assert scratch.keys() == dirty.keys()
+            assert all(scratch[k] is dirty[k] for k in dirty)
+
+
+class TestForwardOut:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        deep=st.booleans(),
+        n_rules=st.integers(1, 6),
+        n_rows=st.integers(1, 300),
+    )
+    def test_matches_a_fresh_pass_in_the_given_arrays(self, seed, deep, n_rules, n_rows):
+        rng = np.random.default_rng(seed)
+        q = int(rng.integers(1, 4))
+        bank = RuleBank(tie_prone_rules(rng, deep, n_rules, q, dyadic=False))
+        stale = bank.forward(rng.normal(size=(n_rows, q)) * 3.0)
+        for buf in stale:
+            if buf is not None:
+                buf.fill(np.nan)
+        X = rng.normal(size=(n_rows, q))
+        got, want = bank.forward(X, out=stale), bank.forward(X)
+        assert (got.act1 is None) == (want.act1 is None) == (not deep)
+        for g, w, s in zip(got, want, stale):
+            if w is not None:
+                assert g.tobytes() == w.tobytes()
+                assert np.shares_memory(g, s)
+
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_pass_of_another_shape_is_rejected(self, deep):
+        rng = np.random.default_rng(19)
+        rules = [make_random_rule(rng, deep, H=3, q=2) for _ in range(2)]
+        bank = RuleBank(rules)
+        X = rng.normal(size=(10, 2))
+        with pytest.raises(ValueError, match="out holds a pass of shape"):
+            bank.forward(X, out=bank.forward(X[:9]))
+        with pytest.raises(ValueError, match="out holds a pass of shape"):
+            bank.forward(X, out=RuleBank(rules[:1]).forward(X))
 
 
 class TestConvexSupport:
