@@ -13,7 +13,7 @@ import os
 import urllib.error
 import urllib.request
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -155,27 +155,26 @@ def model_loss_and_grad(
 
 
 def _loss_and_error(scores, labels):
-    losses, _ = logistic_loss(scores, labels)
-    preds = np.where(scores >= 0.0, 1, -1)
-    return float(losses.mean()), float(np.mean(preds != labels))
+    """Mean logistic loss and error rate of ``scores`` against the labels.
 
-
-def _eval_bank(bank, X_t, labels):
-    return _loss_and_error(bank.scores(X_t), labels)
-
-
-def _shuffled_pass(bank, X_t, labels, rng, out=None):
-    """One forward pass over the rows of X_t in a fresh random order, into ``out``.
-
-    Returns those rows and labels, the pass, and the loss and error of its
-    scores, taken back in the rows' given order.
+    The loss is the one ``logistic_loss`` computes, without its derivative.
     """
-    order = rng.permutation(X_t.shape[0])
-    X_b = X_t[order]
-    fp = bank.forward(X_b, out=out)
+    loss = np.logaddexp(0.0, -(scores * labels)).mean()
+    return float(loss), float(np.mean(np.where(scores >= 0.0, 1, -1) != labels))
+
+
+def _epoch_history(bank, X_train, y_train, order=None, out=None):
+    """The training loss and error, and with full batches the next step's pass.
+
+    Given the next epoch's ``order``, one forward pass over X_train in that
+    order, into ``out``, serves both; without one, ``bank.scores`` scores X_train.
+    """
+    if order is None:
+        return None, _loss_and_error(bank.scores(X_train), y_train)
+    fp = bank.forward(X_train.take(order, axis=0), out=out)
     scores = np.empty_like(fp.scores)
     scores[order] = fp.scores
-    return X_b, labels[order], fp, _loss_and_error(scores, labels)
+    return fp, _loss_and_error(scores, y_train)
 
 
 def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
@@ -189,11 +188,14 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
     from the forward pass that the next step then reuses. With early stopping,
     the payloads of epochs 1 on also carry that epoch's ``val_loss``.
 
-    The step's large arrays (the forward pass and the backward temporaries)
-    are made once and overwritten by the later steps of the same size: once
-    per run with full batches, once per epoch and batch size with minibatches.
-    So the epoch loop does not hand them back to the allocator and fault them
-    in again.
+    Both batch modes run one epoch loop. An epoch steps through the training
+    rows in batch-sized slices of a permutation drawn at the end of the
+    previous epoch (epoch 1's before the epoch-0 row); a full batch is one
+    step. The step's large arrays (the forward pass and the backward
+    temporaries) are made once and overwritten by the later steps of the same
+    size: once per run with full batches, once per epoch and batch size with
+    minibatches. So the epoch loop does not hand them back to the allocator
+    and fault them in again.
 
     A non-finite training loss after an epoch raises FloatingPointError naming
     that epoch. Early stopping restores the parameters of the epoch with the
@@ -214,9 +216,7 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
     if tree.root.is_leaf:
         warnings.warn("tree degenerated to a single leaf; returning a constant model")
         model = NREModel(params, [], cfg, tree, degenerate=True)
-        c = model.constant_score
-        loss = float(logistic_loss(np.full(ds.n_samples, c), ds.labels)[0].mean())
-        err = float(np.mean(np.where(c >= 0, 1, -1) != ds.labels))
+        loss, err = _loss_and_error(np.full(ds.n_samples, model.constant_score), ds.labels)
         model.history = [(0, loss, err)]
         emit("done", model)
         return model
@@ -251,48 +251,40 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
 
     state = AdamState.for_params(bank.params.size, alpha=cfg.learning_rate)
     X_train, y_train = X_t[train_idx], y[train_idx]
-    # A full batch's history pass runs at the next step's parameters, over the
-    # next step's rows: that one pass serves both.
-    full = batch == n_train
+    if val_idx is not None:
+        X_val, y_val = X_t[val_idx], y[val_idx]
+    full = batch == n_train  # one step per epoch, on the pass of the history row before it
     # The step buffers: the forward pass fp and the backward temporaries. A
     # minibatch epoch drops them for its short last batch and before its
     # history pass, so that only one set is alive at a time.
     scratch = {}
 
-    if full:
-        X_b, y_b, fp, (loss0, err0) = _shuffled_pass(bank, X_train, y_train, rng)
-    else:
-        fp = None
-        loss0, err0 = _eval_bank(bank, X_train, y_train)
-    model.history = [(0, loss0, err0)]
-    emit("train_epoch", {"epoch": 0, "loss": loss0, "error": err0, "model": model})
+    order = rng.permutation(n_train)
+    fp, (loss, err) = _epoch_history(bank, X_train, y_train, order if full else None)
+    model.history = [(0, loss, err)]
+    emit("train_epoch", {"epoch": 0, "loss": loss, "error": err, "model": model})
 
-    best_val = np.inf
-    best_params = None
-    stale = 0
+    best_val, best_params, stale = np.inf, None, 0
     for epoch in range(1, cfg.epochs + 1):
-        if full:
-            _, grad = model_loss_and_grad(bank, X_b, y_b, l2=cfg.l2, fp=fp, scratch=scratch)
-            adam_step(bank.params, grad, state)
-            X_b, y_b, fp, (loss_e, err_e) = _shuffled_pass(bank, X_train, y_train, rng, out=fp)
-        else:
-            order = rng.permutation(n_train)
-            for start in range(0, n_train, batch):
-                bidx = train_idx[order[start : start + batch]]
-                X_b = X_t[bidx]
-                if fp is not None and fp.scores.size != bidx.size:
+        for start in range(0, n_train, batch):
+            idx = order[start : start + batch]
+            X_b = X_train.take(idx, axis=0)  # several times faster than X_train[idx]
+            if not full:
+                if fp is not None and fp.scores.size != idx.size:
                     fp, scratch = None, {}
                 fp = bank.forward(X_b, out=fp)
-                _, grad = model_loss_and_grad(bank, X_b, y[bidx], l2=cfg.l2, fp=fp, scratch=scratch)
-                adam_step(bank.params, grad, state)
+            _, grad = model_loss_and_grad(bank, X_b, y_train[idx], l2=cfg.l2, fp=fp, scratch=scratch)
+            adam_step(bank.params, grad, state)
+        if not full:
             fp, scratch = None, {}
-            loss_e, err_e = _eval_bank(bank, X_train, y_train)
-        if not np.isfinite(loss_e):
-            raise FloatingPointError(f"training diverged at epoch {epoch}: loss {loss_e}")
-        model.history.append((epoch, loss_e, err_e))
-        payload = {"epoch": epoch, "loss": loss_e, "error": err_e, "model": model}
+        order = rng.permutation(n_train)
+        fp, (loss, err) = _epoch_history(bank, X_train, y_train, order if full else None, fp)
+        if not np.isfinite(loss):
+            raise FloatingPointError(f"training diverged at epoch {epoch}: loss {loss}")
+        model.history.append((epoch, loss, err))
+        payload = {"epoch": epoch, "loss": loss, "error": err, "model": model}
         if val_idx is not None:
-            val_loss = payload["val_loss"] = _eval_bank(bank, X_t[val_idx], y[val_idx])[0]
+            val_loss = payload["val_loss"] = _loss_and_error(bank.scores(X_val), y_val)[0]
         emit("train_epoch", payload)
         if val_idx is None:
             continue
@@ -403,12 +395,13 @@ def save_model(m: NREModel, path: str) -> None:
 
 
 def load_model(path: str) -> NREModel:
-    """Read a model file written by save_model; any malformed content is a ModelFormatError."""
+    """Read a model file written by save_model; any malformed content, a source
+    tree nested past the recursion limit included, is a ModelFormatError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         payload = json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ModelFormatError(f"not a valid model file: {e}") from e
     if not isinstance(payload, dict):
         raise ModelFormatError("model file must contain a JSON object")
@@ -446,5 +439,5 @@ def load_model(path: str) -> NREModel:
         if not all(np.isfinite(a).all() for a in (std.means, std.stds, model.bank.params)):
             raise ValueError("non-finite standardizer value or parameter")
         return model
-    except (DataError, KeyError, TypeError, IndexError, ValueError, OverflowError) as e:
+    except (DataError, LookupError, TypeError, ValueError, OverflowError, RecursionError) as e:
         raise ModelFormatError(f"malformed model file: {e}") from e

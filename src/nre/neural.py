@@ -239,11 +239,20 @@ class RuleBank:
         return self.grad
 
     def scores(self, X_t: np.ndarray) -> np.ndarray:
-        """Summed rule outputs of each row of X_t, in chunks of SCORE_CHUNK_CELLS cells."""
+        """Summed rule outputs of each row of X_t, in chunks of SCORE_CHUNK_CELLS cells.
+
+        Each full chunk's pass is written into the previous chunk's arrays; a
+        short last chunk gets arrays of its own. No pass outlives the call.
+        """
         out = np.empty(X_t.shape[0])
         rows = max(1, SCORE_CHUNK_CELLS // max(1, self.B1.size))
+        fp = None
         for start in range(0, X_t.shape[0], rows):
-            out[start : start + rows] = self.forward(X_t[start : start + rows]).scores
+            chunk = X_t[start : start + rows]
+            if chunk.shape[0] != rows:
+                fp = None
+            fp = self.forward(chunk, out=fp)
+            out[start : start + rows] = fp.scores
         return out
 
 

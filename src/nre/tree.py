@@ -35,6 +35,16 @@ def _is_index(v) -> bool:
     return type(v) is int and v >= 0
 
 
+def _is_threshold(v) -> bool:
+    """A float, or an int that float() can hold (one past the float range it cannot)."""
+    if type(v) is int:
+        try:
+            float(v)
+        except OverflowError:
+            return False
+    return type(v) in (int, float)
+
+
 @dataclass
 class TreeNode:
     n_pos: int
@@ -73,12 +83,13 @@ class TreeNode:
     @staticmethod
     def from_dict(d: dict) -> "TreeNode":
         """The node of a ``to_dict`` form; a count or feature that is not a
-        non-negative int, or a threshold that is not a number, is a ValueError."""
+        non-negative int, or a threshold that is not a number float() can
+        hold, is a ValueError."""
         if not (_is_index(d["n_pos"]) and _is_index(d["n_neg"])):
             raise ValueError(f"tree node counts {d['n_pos']!r}, {d['n_neg']!r} are not counts")
         if d["kind"] == "leaf":
             return TreeNode(n_pos=d["n_pos"], n_neg=d["n_neg"])
-        if not (_is_index(d["feature"]) and type(d["threshold"]) in (int, float)):
+        if not (_is_index(d["feature"]) and _is_threshold(d["threshold"])):
             raise ValueError(f"tree split {d['feature']!r} <= {d['threshold']!r} is not a split")
         return TreeNode(
             n_pos=d["n_pos"],

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import tempfile
 import warnings
 import weakref
@@ -726,6 +727,10 @@ class TestPersistence:
                 lambda p, r: p["standardization"]["stds"].__setitem__(0, "inf"), id="inf_string"
             ),
             pytest.param(lambda p, r: r["layer1"][0]["w"].__setitem__(0, 2**1100), id="huge_int"),
+            pytest.param(
+                lambda p, r: p["source_tree"]["root"].update(threshold=2**1100),
+                id="huge_threshold",
+            ),
         ],
     )
     def test_malformed_rules_rejected(self, tmp_path, capsys, mutate):
@@ -738,6 +743,39 @@ class TestPersistence:
         payload["checksum"] = hashlib.sha256(_canonical(payload).encode()).hexdigest()
         path.write_text(_canonical(payload))
         with pytest.raises(ModelFormatError, match="malformed"):
+            load_model(path)
+        assert main(["eval", "--model", str(path), "--data", str(path)]) == 2
+
+    def test_deep_source_tree_is_a_format_error(self, tmp_path):
+        """A chain of splits nested past the recursion limit, written as text."""
+        _, path, _ = self.trained(tmp_path)
+        payload = json.loads(path.read_text())
+        payload.pop("checksum")
+        payload["source_tree"]["root"] = "ROOT"
+        body = _canonical(payload)
+        leaf = '{"kind":"leaf","n_neg":0,"n_pos":1}'
+
+        def write(depth):
+            closes = "".join(
+                f',"n_neg":0,"n_pos":{i + 2},"right":{leaf},"threshold":0.5}}' for i in range(depth)
+            )
+            text = body.replace('"ROOT"', '{"feature":0,"kind":"internal","left":' * depth
+                                + leaf + closes)
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            path.write_text(f'{{"checksum":"{digest}",{text[1:]}')
+
+        stages = set()
+        for depth in range(sys.getrecursionlimit(), 0, -1):  # down to the first that loads
+            write(depth)
+            try:
+                load_model(path)
+                break
+            except ModelFormatError as e:
+                stages.add(str(e).split(":")[0])
+        # decoding fails near the limit; a little short of it, the re-checksum does
+        assert stages == {"not a valid model file", "malformed model file"}
+        write(5000)
+        with pytest.raises(ModelFormatError, match="recursion"):
             load_model(path)
         assert main(["eval", "--model", str(path), "--data", str(path)]) == 2
 

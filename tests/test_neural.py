@@ -12,6 +12,7 @@ from conftest import (
     rule_pass,
 )
 from nre.neural import (
+    SCORE_CHUNK_CELLS,
     AdamState,
     BankPass,
     NeuralRule,
@@ -415,6 +416,31 @@ class TestForwardOut:
             bank.forward(X, out=bank.forward(X[:9]))
         with pytest.raises(ValueError, match="out holds a pass of shape"):
             bank.forward(X, out=RuleBank(rules[:1]).forward(X))
+
+
+class TestScoreChunks:
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_full_chunks_share_the_first_chunks_arrays(self, monkeypatch, deep):
+        rng = np.random.default_rng(23)
+        bank = RuleBank([make_random_rule(rng, deep, H=3, q=2) for _ in range(4)])
+        rows = SCORE_CHUNK_CELLS // bank.B1.size
+        X = rng.normal(size=(3 * rows + 5, 2))  # three full chunks and a short one
+        passes, real_forward = [], RuleBank.forward
+
+        def forward(bank, X_t, out=None):
+            passes.append(real_forward(bank, X_t, out=out))
+            return passes[-1]
+
+        monkeypatch.setattr(RuleBank, "forward", forward)
+        got = bank.scores(X)
+        monkeypatch.undo()
+        fresh = [bank.forward(X[s : s + rows]).scores for s in range(0, X.shape[0], rows)]
+        assert got.tobytes() == np.concatenate(fresh).tobytes()
+        assert [fp.scores.size for fp in passes] == [rows] * 3 + [5]
+        first = passes[0]
+        for fp in passes[1:3]:
+            assert all(a is None or np.shares_memory(a, b) for a, b in zip(fp, first))
+        assert not any(a is not None and np.shares_memory(a, b) for a, b in zip(passes[3], first))
 
 
 class TestConvexSupport:
