@@ -33,7 +33,7 @@ from .ensemble import (
     save_model,
 )
 from .errors import DataError, ModelFormatError, UsageError
-from .plotting import data_bounds, render_decision_regions
+from .plotting import render_decision_regions
 from .stats import (
     format_comparison_report,
     read_comparison_csv,
@@ -114,6 +114,28 @@ _CONFIG_CASTS = {
     "max_rules": int,
     "early_stop_patience": int,
 }
+
+
+def _epoch_set(text: str) -> frozenset[int]:
+    """--checkpoint-at: comma-separated epochs, each an integer >= 0."""
+    epochs = frozenset(int(s) for s in text.split(",") if s.strip())
+    if min(epochs, default=0) < 0:
+        raise argparse.ArgumentTypeError(f"epochs must be >= 0, got {text!r}")
+    return epochs
+
+
+def _bounds(text: str) -> tuple[float, ...]:
+    """--bounds: xmin,xmax,ymin,ymax with finite spans > 0 (a NaN or infinite bound has none)."""
+    b = tuple(float(s) for s in text.split(","))
+    if len(b) != 4 or not all(0.0 < span < np.inf for span in (b[1] - b[0], b[3] - b[2])):
+        raise argparse.ArgumentTypeError(f"needs xmin,xmax,ymin,ymax, finite spans > 0: {text!r}")
+    return b
+
+
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _train_config(args, config: dict) -> TrainConfig:
@@ -225,15 +247,12 @@ def cmd_train(args) -> int:
     config_file = _read_config_file(args.config) if args.config else {}
     cfg = _train_config(args, config_file)
     dataset = _load_dataset(args)
-    checkpoints = set()
-    if args.checkpoint_at:
-        checkpoints = {int(s) for s in args.checkpoint_at.split(",") if s.strip()}
 
     def trace(stage, payload):
-        if stage == "train_epoch" and payload["epoch"] in checkpoints:
+        if stage == "train_epoch" and payload["epoch"] in args.checkpoint_at:
             save_model(payload["model"], _checkpoint_path(args.out, payload["epoch"]))
 
-    model = nre_train(dataset, cfg, trace=trace if checkpoints else None)
+    model = nre_train(dataset, cfg, trace=trace if args.checkpoint_at else None)
     save_model(model, args.out)
     if args.log:
         with open(args.log, "w", encoding="utf-8") as fh:
@@ -337,13 +356,6 @@ def cmd_plot(args) -> int:
     dataset = _load_dataset(args)
     if dataset.n_features != 2:
         raise DataError(f"plotting needs exactly 2 features, dataset has {dataset.n_features}")
-    if args.bounds:
-        parts = [float(v) for v in args.bounds.split(",")]
-        if len(parts) != 4:
-            raise UsageError("--bounds needs xmin,xmax,ymin,ymax")
-        bounds = tuple(parts)
-    else:
-        bounds = data_bounds(dataset.features)
 
     if args.rule_index is not None:
         if not 0 <= args.rule_index < len(model.rules):
@@ -356,7 +368,7 @@ def cmd_plot(args) -> int:
         lambda pts: nre_score_batch(model, pts),
         dataset.features,
         dataset.labels,
-        bounds=bounds,
+        bounds=args.bounds,
         resolution=args.grid_resolution,
     )
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -394,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--log")
-    p.add_argument("--checkpoint-at", dest="checkpoint_at")
+    p.add_argument("--checkpoint-at", dest="checkpoint_at", type=_epoch_set, default=frozenset())
     _add_data_options(p)
     _add_train_options(p)
     p.set_defaults(func=cmd_train)
@@ -433,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--grid-resolution", dest="grid_resolution", type=int, default=200)
-    p.add_argument("--bounds")
+    p.add_argument("--grid-resolution", dest="grid_resolution", type=_positive_int, default=200)
+    p.add_argument("--bounds", type=_bounds, metavar="XMIN,XMAX,YMIN,YMAX")
     p.add_argument("--rule-index", dest="rule_index", type=int)
     p.add_argument("--at-iteration", dest="at_iteration", type=int)
     _add_data_options(p)

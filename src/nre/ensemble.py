@@ -27,7 +27,7 @@ from .neural import (
     init_from_rule,
 )
 from .rules import extract_rules, rank_rules
-from .tree import DecisionTree, build_tree
+from .tree import MAX_DEPTH, DecisionTree, build_tree
 
 SCHEMA_VERSION = 1
 FULL_BATCH_LIMIT = 4096
@@ -55,8 +55,8 @@ class TrainConfig:
     early_stop_patience: int | None = None
 
     def __post_init__(self):
-        if self.max_depth < 1 or self.min_leaf < 1:
-            raise ValueError("max_depth and min_leaf must be >= 1")
+        if not (1 <= self.max_depth <= MAX_DEPTH and self.min_leaf >= 1):
+            raise ValueError(f"max_depth must be between 1 and {MAX_DEPTH} and min_leaf >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
@@ -86,13 +86,17 @@ class NREModel:
     rules: list[NeuralRule]
     config: TrainConfig
     source_tree: DecisionTree
-    degenerate: bool = False
     history: list[tuple[int, float, float]] = field(default_factory=list, repr=False)
     bank: RuleBank = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.bank = RuleBank(self.rules)
         self.rules = self.bank.rules
+
+    @property
+    def degenerate(self) -> bool:
+        """A rule-less model: its tree is a single leaf and it scores a constant."""
+        return not self.rules
 
     @property
     def tree_features(self) -> tuple[int, ...]:
@@ -215,7 +219,7 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
 
     if tree.root.is_leaf:
         warnings.warn("tree degenerated to a single leaf; returning a constant model")
-        model = NREModel(params, [], cfg, tree, degenerate=True)
+        model = NREModel(params, [], cfg, tree)
         loss, err = _loss_and_error(np.full(ds.n_samples, model.constant_score), ds.labels)
         model.history = [(0, loss, err)]
         emit("done", model)
@@ -434,7 +438,7 @@ def load_model(path: str) -> NREModel:
             rules.append(NeuralRule(tf, w1, b1, w2, b2, float(rp["c"])))
         tree = DecisionTree.from_dict(payload["source_tree"])
         cfg = TrainConfig(**payload["config"])
-        model = NREModel(std, rules, cfg, tree, degenerate=not rules)
+        model = NREModel(std, rules, cfg, tree)
         # numpy reads a string such as "nan" as a number
         if not all(np.isfinite(a).all() for a in (std.means, std.stds, model.bank.params)):
             raise ValueError("non-finite standardizer value or parameter")

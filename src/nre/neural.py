@@ -34,6 +34,11 @@ from .rules import ConjunctiveRule
 # 1024 or more for 8 rules of 4 slots; this budget gives 341 and 4096.
 SCORE_CHUNK_CELLS = 1 << 17
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class NeuralRule:
@@ -68,9 +73,6 @@ class AdamState:
     v: np.ndarray
     step: int = 0
     alpha: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @staticmethod
     def for_params(n: int, alpha: float = 0.01) -> "AdamState":
@@ -283,9 +285,9 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.nda
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError("parameter, gradient and state shapes must agree")
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads**2
-    m_hat = state.m / (1.0 - state.beta1**state.step)
-    v_hat = state.v / (1.0 - state.beta2**state.step)
-    params -= state.alpha * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads**2
+    m_hat = state.m / (1.0 - ADAM_BETA1**state.step)
+    v_hat = state.v / (1.0 - ADAM_BETA2**state.step)
+    params -= state.alpha * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params

@@ -30,6 +30,11 @@ from .errors import DataError
 # Table cells (features x node rows) a split scan handles at once: 2 MB per temporary.
 SPLIT_SCAN_CELLS = 1 << 18
 
+# Deepest tree build_tree grows. Growth, predict, to_dict/from_dict and the model
+# file's JSON coding each recurse once per level and failed past 989-994 levels on
+# CPython 3.11, so iterative walkers could not save a deeper tree. The paper's grid stops at 10.
+MAX_DEPTH = 256
+
 
 def _is_index(v) -> bool:
     return type(v) is int and v >= 0
@@ -133,15 +138,8 @@ class DecisionTree:
         """Leaves in left-to-right order."""
         return [node for node, _ in self.walk() if node.is_leaf]
 
-    def route(self, x) -> TreeNode:
-        """Leaf reached by a point under the x <= threshold goes left convention."""
-        node = self.root
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node
-
     def predict(self, features: np.ndarray) -> np.ndarray:
-        """Leaf votes of all rows, routed as a batch with ``route``'s convention."""
+        """Leaf votes of all rows, routed as a batch; x <= threshold goes left."""
         X = np.atleast_2d(np.asarray(features, dtype=np.float64))
         votes = np.empty(X.shape[0], dtype=np.int64)
 
@@ -180,22 +178,6 @@ class DecisionTree:
     @staticmethod
     def from_dict(d: dict) -> "DecisionTree":
         return DecisionTree(root=TreeNode.from_dict(d["root"]), max_depth=d["max_depth"])
-
-
-def best_split(
-    features: np.ndarray, labels: np.ndarray, min_leaf: int = 1
-) -> tuple[int, float, float] | None:
-    """Exhaustive scan for the margin-gain-maximizing (feature, threshold).
-
-    Candidate thresholds are midpoints strictly between consecutive sorted
-    values. Ties break to the lowest feature index, then the lowest threshold.
-    Returns None when no candidate has strictly positive gain (in particular
-    for pure nodes and constant features).
-    """
-    XT = np.ascontiguousarray(np.asarray(features, dtype=np.float64).T)
-    pos = np.asarray(labels) == 1
-    found = _scan(XT, pos, np.argsort(XT, axis=1), int(np.count_nonzero(pos)), min_leaf)
-    return None if found is None else found[:3]
 
 
 def _scan(
@@ -261,8 +243,8 @@ def build_tree(d: Dataset, max_depth: int, min_leaf: int = 1) -> DecisionTree:
     Recursion stops at ``max_depth``, on pure nodes, when no candidate split
     has positive gain, or when a split would starve a child below ``min_leaf``.
     """
-    if max_depth < 1:
-        raise DataError("max_depth must be >= 1")
+    if not 1 <= max_depth <= MAX_DEPTH:
+        raise DataError(f"max_depth must be between 1 and {MAX_DEPTH}")
     if min_leaf < 1:
         raise DataError("min_leaf must be >= 1")
     X, y = d.features, d.labels

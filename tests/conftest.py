@@ -28,6 +28,16 @@ def random_dataset(rng, n, p, label_rule=None):
     return Dataset(X, y, tuple(f"x{j}" for j in range(p)))
 
 
+def chain_dataset(n):
+    """One feature 0..n-1 with labels alternating +1, -1, +1, ...
+
+    Every split of it peels off the lowest row, so its tree is a chain of
+    splits as deep as max_depth allows (up to n - 1).
+    """
+    X = np.arange(n, dtype=float)[:, None]
+    return Dataset(X, np.where(np.arange(n) % 2 == 0, 1, -1), ("x0",))
+
+
 def random_tree(rng, n=80, p=4, max_depth=3):
     d = random_dataset(rng, n, p)
     return build_tree(d, max_depth=max_depth), d

@@ -19,6 +19,10 @@ the two to grow identical trees.
 with ``float()``. ``nre.data.load_table`` converts all feature cells in one
 numpy call; the tests require the same ``Dataset`` or the same error text.
 
+``reference_route`` is the leaf one point reaches, walked node by node;
+``DecisionTree.predict`` routes all rows together and must give that leaf's
+vote, and each leaf's rule must be active exactly where the leaf is reached.
+
 ``reference_feature_set``, ``reference_depth``, ``reference_n_leaves``,
 ``reference_leaves``, ``reference_pretty`` and ``reference_extract_rules`` are
 the recursive tree traversals that ``DecisionTree.walk`` replaced; the tests
@@ -288,6 +292,14 @@ def reference_load_table(path: str, label_column, positive_label=None) -> Datase
             col += 1
     labels = np.where([_values_equal(v, positive_label) for v in raw_labels], 1, -1)
     return Dataset(features, labels, feature_names)
+
+
+def reference_route(tree: DecisionTree, x) -> TreeNode:
+    """Leaf reached by a point under the x <= threshold goes left convention."""
+    node = tree.root
+    while not node.is_leaf:
+        node = node.left if x[node.feature] <= node.threshold else node.right
+    return node
 
 
 def reference_feature_set(tree: DecisionTree) -> tuple[int, ...]:

@@ -19,7 +19,7 @@ from conftest import (
     rule_pass,
 )
 from golden_tables import ANN_VS_NRE, GB_VS_NRE, RF_VS_NRE
-from test_tree import brute_force_best_split
+from test_tree import best_split, brute_force_best_split
 from nre.data import (
     Dataset,
     fetch_pmlb,
@@ -43,7 +43,7 @@ from nre.neural import RuleBank, init_deep_from_rule, init_from_rule
 from nre.plotting import data_bounds, grid_points
 from nre.rules import extract_rules, rule_activations
 from nre.stats import ComparisonTable, sign_test, wilcoxon_signed_rank
-from nre.tree import best_split, build_tree
+from nre.tree import build_tree
 from reference_oracle import grid_convexity_check, rule_norm
 
 

@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import json
 import re
 import xml.etree.ElementTree as ET
@@ -6,13 +7,23 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from conftest import chain_dataset
 from golden_tables import GB_VS_NRE, RF_VS_NRE
-from nre.cli import main
+from nre.cli import _write_dataset_csv, main
 from nre.data import StandardizationParams, gen_rotated_xor, load_table
-from nre.ensemble import NREModel, TrainConfig, load_model, nre_predict, nre_score_batch, save_model
+from nre.ensemble import (
+    NREModel,
+    TrainConfig,
+    _canonical,
+    load_model,
+    nre_predict,
+    nre_score_batch,
+    save_model,
+)
+from nre.errors import ModelFormatError
 from nre.neural import NeuralRule
 from nre.plotting import grid_points
-from nre.tree import build_tree
+from nre.tree import MAX_DEPTH, build_tree
 from nre.data import Dataset
 from reference_oracle import grid_convexity_check
 
@@ -137,6 +148,15 @@ class TestTrain:
         final = load_model(model_path)
         assert iter0.config == final.config
 
+    @pytest.mark.parametrize("epochs", ["1,x", "0,-1"])
+    def test_bad_checkpoint_epochs_are_usage_errors(self, tmp_path, small_xor_csv, capsys, epochs):
+        model_path = tmp_path / "m.json"
+        code, _, err = run(capsys, "train", "--data", small_xor_csv, "--out", str(model_path),
+                           "--epochs", "2", "--checkpoint-at", epochs)
+        assert code == 1
+        assert "--checkpoint-at" in err
+        assert list(tmp_path.glob("m*.json")) == []
+
     def test_config_file_and_flag_precedence(self, tmp_path, small_xor_csv, capsys):
         cfg = tmp_path / "nre.cfg"
         cfg.write_text("# defaults for this experiment\nepochs = 5\nmax_depth = 2\n")
@@ -226,6 +246,55 @@ class TestTrain:
     def test_missing_required_flag_is_usage_error(self, capsys):
         code, _, err = run(capsys, "train", "--data", "x.csv")
         assert code == 1
+
+
+class TestDepthBound:
+    """Trees as deep as ``MAX_DEPTH``, grown from data whose tree is a chain of splits."""
+
+    @pytest.fixture
+    def chain_csv(self, tmp_path):
+        path = tmp_path / "chain.csv"
+        _write_dataset_csv(chain_dataset(300), path)
+        return str(path)
+
+    def test_deepest_tree_trains_saves_and_evaluates(self, tmp_path, chain_csv, capsys):
+        model_path = tmp_path / "m.json"
+        code, _, _ = run(capsys, "train", "--data", chain_csv, "--out", str(model_path),
+                         "--max-depth", str(MAX_DEPTH), "--max-rules", "1", "--epochs", "1")
+        assert code == 0
+        assert load_model(model_path).source_tree.depth() == MAX_DEPTH
+        code, stdout, _ = run(capsys, "eval", "--model", str(model_path), "--data", chain_csv)
+        assert code == 0
+        assert "(300 samples)" in stdout
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_deeper_is_usage_error_before_reading_data(self, tmp_path, capsys, source):
+        model_path = tmp_path / "m.json"
+        argv = ["train", "--data", str(tmp_path / "none.csv"), "--out", str(model_path)]
+        if source == "flag":
+            argv += ["--max-depth", str(MAX_DEPTH + 1)]
+        else:
+            cfg = tmp_path / "nre.cfg"
+            cfg.write_text(f"max_depth = {MAX_DEPTH + 1}\n")
+            argv += ["--config", str(cfg)]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert f"max_depth must be between 1 and {MAX_DEPTH}" in err
+        assert not model_path.exists()
+
+    def test_model_file_past_the_bound_is_format_error(self, tmp_path, chain_csv, capsys):
+        model_path = tmp_path / "m.json"
+        run(capsys, "train", "--data", chain_csv, "--out", str(model_path),
+            "--max-depth", "2", "--epochs", "1")
+        payload = json.loads(model_path.read_text())
+        payload.pop("checksum")
+        payload["config"]["max_depth"] = MAX_DEPTH + 1
+        payload["checksum"] = hashlib.sha256(_canonical(payload).encode()).hexdigest()
+        model_path.write_text(_canonical(payload))
+        with pytest.raises(ModelFormatError, match="max_depth"):
+            load_model(model_path)
+        code, _, err = run(capsys, "eval", "--model", str(model_path), "--data", chain_csv)
+        assert code == 2
 
 
 class TestPredictEval:
@@ -404,10 +473,34 @@ class TestPlot:
                            "--out", str(tmp_path / "x.svg"))
         assert code == 2
 
-    def test_numeric_failure_is_exit_3(self, tmp_path, small_xor_csv, trained, capsys):
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--bounds", "a,b,c,d"),
+            ("--bounds", "0,0,0,1"),
+            ("--grid-resolution", "0"),
+            ("--grid-resolution", "-3"),
+        ],
+    )
+    def test_bad_plot_option_is_usage_error(self, tmp_path, small_xor_csv, trained, capsys,
+                                            option, value):
+        out = tmp_path / "x.svg"
         code, _, err = run(capsys, "plot", "--model", trained, "--data", small_xor_csv,
-                           "--out", str(tmp_path / "x.svg"), "--grid-resolution", "0")
+                           "--out", str(out), option, value)
+        assert code == 1
+        assert option in err
+        assert not out.exists()
+
+    def test_numeric_failure_is_exit_3(self, tmp_path, small_xor_csv, trained, capsys,
+                                       monkeypatch):
+        def overflow(model, points):
+            raise FloatingPointError("overflow in scoring")
+
+        monkeypatch.setattr("nre.cli.nre_score_batch", overflow)
+        code, _, err = run(capsys, "plot", "--model", trained, "--data", small_xor_csv,
+                           "--out", str(tmp_path / "x.svg"), "--grid-resolution", "20")
         assert code == 3
+        assert "FloatingPointError" in err
 
 
 class TestFetchCommand:

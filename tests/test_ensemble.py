@@ -45,7 +45,7 @@ from nre.ensemble import (
 )
 from nre.errors import DataError, ModelFormatError
 from nre.neural import SCORE_CHUNK_CELLS, NeuralRule, RuleBank
-from nre.tree import DecisionTree, TreeNode, build_tree
+from nre.tree import MAX_DEPTH, DecisionTree, TreeNode, build_tree
 from reference_oracle import forward
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -114,6 +114,7 @@ class TestTrainConfig:
             {"l2": math.nan},
             {"l2": math.inf},
             {"seed": -1},
+            {"max_depth": MAX_DEPTH + 1},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -631,7 +632,7 @@ def random_models(draw):
     )
     std = StandardizationParams(scattered(p), np.abs(scattered(p)) + 5e-324)
     tree = DecisionTree(draw(tree_nodes(p, 4)), max_depth=cfg.max_depth)
-    return NREModel(std, rules, cfg, tree, degenerate=not rules)
+    return NREModel(std, rules, cfg, tree)
 
 
 def probes_for(model, seed):

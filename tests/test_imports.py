@@ -1,19 +1,22 @@
 """Every name a module of the package imports is used in that module.
 
-``__init__.py`` re-exports what it imports, and ``from __future__`` imports
-are directives, so both are exempt.
+``__init__.py`` is exempt because it re-exports what it imports: the names it
+imports are exactly ``nre.__all__``, and each resolves. ``from __future__``
+imports are directives, so they are exempt too.
 """
 import ast
 import os
 
 import pytest
 
+import nre
+
 PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "nre")
 MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py") and f != "__init__.py")
 
 
-def unused_imports(source: str) -> list[str]:
-    tree = ast.parse(source)
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """The line of every name the module's import statements bind."""
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -22,6 +25,12 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
+    return imported
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = imported_names(tree)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
@@ -34,3 +43,12 @@ def test_unused_import_is_found():
 def test_no_unused_imports(module):
     with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def test_package_exports_exactly_what_it_imports():
+    with open(os.path.join(PACKAGE, "__init__.py"), encoding="utf-8") as fh:
+        imported = imported_names(ast.parse(fh.read()))
+    assert sorted(imported) == sorted(nre.__all__)
+    assert len(set(nre.__all__)) == len(nre.__all__)
+    for name in nre.__all__:
+        assert getattr(nre, name, None) is not None, name

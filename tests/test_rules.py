@@ -16,7 +16,7 @@ from nre.rules import (
     rule_to_str,
 )
 from nre.tree import build_tree
-from reference_oracle import rule_norm
+from reference_oracle import reference_route, rule_norm
 
 
 def depth1_tree_dataset():
@@ -61,7 +61,7 @@ class TestExtractRules:
         leaves = tree.leaves()
         probes = rng.uniform(-3, 3, size=(1000, 3))
         for x in probes:
-            routed = tree.route(x)
+            routed = reference_route(tree, x)
             for r, leaf in zip(rules, leaves):
                 active = rule_activations(r, [x])[0] != 0.0
                 assert active == (leaf is routed)

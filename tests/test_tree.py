@@ -5,15 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ULP, gridded_datasets, random_dataset
+from conftest import ULP, chain_dataset, gridded_datasets, random_dataset
 from nre.data import Dataset
 from nre.errors import DataError
 from nre import tree as tree_module
 from nre.tree import (
+    MAX_DEPTH,
     SPLIT_SCAN_CELLS,
     DecisionTree,
     TreeNode,
-    best_split,
+    _scan,
     build_tree,
 )
 from nre.rules import extract_rules
@@ -26,7 +27,22 @@ from reference_oracle import (
     reference_leaves,
     reference_n_leaves,
     reference_pretty,
+    reference_route,
 )
+
+
+def best_split(features, labels, min_leaf=1):
+    """The one-node search of ``build_tree``: (feature, threshold, gain) or None.
+
+    Candidate thresholds are midpoints strictly between consecutive sorted
+    values. Ties break to the lowest feature index, then the lowest threshold.
+    None when no candidate has strictly positive gain (in particular for pure
+    nodes and constant features).
+    """
+    XT = np.ascontiguousarray(np.asarray(features, dtype=np.float64).T)
+    pos = np.asarray(labels) == 1
+    found = _scan(XT, pos, np.argsort(XT, axis=1), int(np.count_nonzero(pos)), min_leaf)
+    return None if found is None else found[:3]
 
 
 def brute_force_best_split(X, y, min_leaf=1):
@@ -211,6 +227,13 @@ class TestBuildTree:
             tree = build_tree(d, max_depth=depth)
             assert tree.depth() <= depth
 
+    def test_depth_bound(self):
+        d = chain_dataset(300)
+        tree = build_tree(d, max_depth=MAX_DEPTH)
+        assert tree.depth() == MAX_DEPTH and tree.n_leaves() == MAX_DEPTH + 1
+        with pytest.raises(DataError, match="max_depth"):
+            build_tree(d, max_depth=MAX_DEPTH + 1)
+
     def test_count_conservation(self):
         rng = np.random.default_rng(3)
         d = random_dataset(rng, 100, 4)
@@ -369,7 +392,7 @@ class TestBuildTree:
         walk(tree.root)
         X = np.vstack([d.features, rng.normal(size=(50, 3)), on_threshold])
         assert len(on_threshold) > 1
-        expected = [tree.route(x).vote for x in X]
+        expected = [reference_route(tree, x).vote for x in X]
         np.testing.assert_array_equal(tree.predict(X), expected)
         assert tree.predict(X[0]).tolist() == expected[:1]
         assert tree.predict(np.empty((0, 3))).shape == (0,)
