@@ -11,7 +11,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .data import (
     stratified_kfold,
 )
 from .ensemble import (
+    CONFIG_TYPES,
     TrainConfig,
     evaluate,
     load_model,
@@ -44,20 +45,6 @@ from .stats import (
 CACHE_DIR_ENV = "NRE_CACHE_DIR"
 
 
-@dataclass
-class EvalReport:
-    """Cross-validation summary: per-fold test errors plus aggregates."""
-
-    fold_errors: list[float]
-    mean: float
-    std: float
-    wall_time_s: float
-    config: dict
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -73,10 +60,7 @@ def _read_config_file(path: str) -> dict:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" in line:
-                key, _, value = line.partition("=")
-            else:
-                key, _, value = line.partition(" ")
+            key, _, value = line.partition("=" if "=" in line else " ")
             key = key.strip().replace("-", "_")
             value = value.strip()
             if not key or not value:
@@ -102,18 +86,8 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-_CONFIG_CASTS = {
-    "max_depth": int,
-    "min_leaf": int,
-    "deep": _parse_bool,
-    "epochs": int,
-    "batch_size": int,
-    "learning_rate": float,
-    "l2": float,
-    "seed": int,
-    "max_rules": int,
-    "early_stop_patience": int,
-}
+# TrainConfig field -> the cast of its flag and config-file value
+_CONFIG_CASTS = {name: _parse_bool if kind is bool else kind for name, kind in CONFIG_TYPES.items()}
 
 
 def _epoch_set(text: str) -> frozenset[int]:
@@ -138,14 +112,11 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _train_config(args, config: dict) -> TrainConfig:
-    kwargs = {}
-    for key in _CONFIG_CASTS:
-        value = getattr(args, key, None)
-        if value is None:
-            value = config.get(key)
-        if value is not None:
-            kwargs[key] = value
+def _train_config(args) -> TrainConfig:
+    """The TrainConfig of the flags over the ``--config`` file over the defaults."""
+    config = _read_config_file(args.config) if args.config else {}
+    kwargs = {key: value for key, value in config.items() if key in _CONFIG_CASTS}
+    kwargs.update((k, getattr(args, k)) for k in _CONFIG_CASTS if getattr(args, k) is not None)
     try:
         return TrainConfig(**kwargs)
     except ValueError as e:
@@ -154,16 +125,12 @@ def _train_config(args, config: dict) -> TrainConfig:
 
 def _add_train_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--max-depth", dest="max_depth", type=int)
-    p.add_argument("--min-leaf", dest="min_leaf", type=int)
-    p.add_argument("--deep", dest="deep", action="store_const", const=True)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-rules", dest="max_rules", type=int)
-    p.add_argument("--early-stop-patience", dest="early_stop_patience", type=int)
+    for name, cast in _CONFIG_CASTS.items():
+        flag = "--" + name.replace("_", "-")
+        if cast is _parse_bool:
+            p.add_argument(flag, dest=name, action="store_const", const=True)
+        else:
+            p.add_argument(flag, dest=name, type=cast)
 
 
 def _add_data_options(p: argparse.ArgumentParser) -> None:
@@ -244,8 +211,7 @@ def cmd_fetch(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config_file = _read_config_file(args.config) if args.config else {}
-    cfg = _train_config(args, config_file)
+    cfg = _train_config(args)
     dataset = _load_dataset(args)
 
     def trace(stage, payload):
@@ -305,34 +271,29 @@ def _run_folds(dataset, folds, cfg, verbose=True):
 
 
 def cmd_cv(args) -> int:
-    config_file = _read_config_file(args.config) if args.config else {}
-    cfg = _train_config(args, config_file)
+    cfg = _train_config(args)
     dataset = _load_dataset(args)
     folds = stratified_kfold(dataset, args.k, cfg.seed)
     t0 = time.perf_counter()
     if args.grid:
         best_depth, best_mean = None, None
         for depth in GRID_DEPTHS:
-            trial = TrainConfig(**{**asdict(cfg), "max_depth": depth})
+            trial = replace(cfg, max_depth=depth)
             mean = float(np.mean(_run_folds(dataset, folds, trial, verbose=False)))
             print(f"depth {depth:2d}: mean error {100 * mean:.2f}%")
             if best_mean is None or mean < best_mean:
                 best_depth, best_mean = depth, mean
         print(f"best depth: {best_depth}")
-        cfg = TrainConfig(**{**asdict(cfg), "max_depth": best_depth})
+        cfg = replace(cfg, max_depth=best_depth)
     errors = _run_folds(dataset, folds, cfg)
     wall = time.perf_counter() - t0
-    report = EvalReport(
-        fold_errors=errors,
-        mean=float(np.mean(errors)),
-        std=float(np.std(errors)),
-        wall_time_s=wall,
-        config=asdict(cfg),
-    )
-    print(f"mean error {100 * report.mean:.2f}% +- {100 * report.std:.2f}% ({wall:.1f}s)")
+    mean, std = float(np.mean(errors)), float(np.std(errors))
+    print(f"mean error {100 * mean:.2f}% +- {100 * std:.2f}% ({wall:.1f}s)")
     if args.out:
+        report = {"fold_errors": errors, "mean": mean, "std": std, "wall_time_s": wall,
+                  "config": asdict(cfg)}
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
+            fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return 0
 
 

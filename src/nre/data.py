@@ -67,7 +67,7 @@ class Dataset:
 
 @dataclass
 class StandardizationParams:
-    """Per-column means and positive standard deviations fit on training data."""
+    """Per-column finite means and finite positive standard deviations fit on training data."""
 
     means: np.ndarray
     stds: np.ndarray
@@ -77,8 +77,8 @@ class StandardizationParams:
         self.stds = np.asarray(self.stds, dtype=np.float64)
         if self.means.shape != self.stds.shape or self.means.ndim != 1:
             raise DataError("means and stds must be 1-D vectors of equal length")
-        if not np.all(self.stds > 0):
-            raise DataError("standard deviations must be strictly positive")
+        if not (np.isfinite(self.means).all() and np.all((0 < self.stds) & (self.stds < np.inf))):
+            raise DataError("means must be finite and standard deviations finite and > 0")
 
 
 @dataclass
@@ -199,10 +199,16 @@ def standardize_fit(d: Dataset) -> StandardizationParams:
     """Column means and population standard deviations; constant columns get std 1.
 
     Clamping keeps feature indices stable across train/test splits; a tree
-    never splits on a constant column, so the clamp is inert downstream.
+    never splits on a constant column, so the clamp is inert downstream. A
+    column whose mean or std overflows the float range is a DataError.
     """
-    means = d.features.mean(axis=0)
-    stds = d.features.std(axis=0)  # population (1/N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = d.features.mean(axis=0)
+        stds = d.features.std(axis=0)  # population (1/N)
+    finite = np.isfinite(means) & np.isfinite(stds)
+    if not finite.all():
+        j = np.argmin(finite)  # the first column that overflowed
+        raise DataError(f"column {d.feature_names[j]!r} overflows: mean {means[j]}, std {stds[j]}")
     stds = np.where(stds == 0.0, 1.0, stds)
     return StandardizationParams(means, stds)
 

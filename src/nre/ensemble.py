@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import typing
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -41,6 +42,9 @@ class TrainConfig:
     256 afterwards. ``learning_rate`` is the Adam step size. ``early_stop_patience``
     enables early stopping on a seeded 10% validation split when set. With full
     batches one epoch is one optimizer iteration.
+
+    The fields are the whole schema: ``CONFIG_TYPES``, the CLI flags and the
+    config-file keys derive from them. A value of the wrong type is a ValueError.
     """
 
     max_depth: int = 4
@@ -55,6 +59,14 @@ class TrainConfig:
     early_stop_patience: int | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value, kind = getattr(self, f.name), CONFIG_TYPES[f.name]
+            if kind is float:  # an int is a float here, and np.float64 is a float subclass
+                ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+            else:
+                ok = type(value) is kind
+            if not (ok or value is None and f.default is None):
+                raise ValueError(f"{f.name} must be of type {kind.__name__}, got {value!r}")
         if not (1 <= self.max_depth <= MAX_DEPTH and self.min_leaf >= 1):
             raise ValueError(f"max_depth must be between 1 and {MAX_DEPTH} and min_leaf >= 1")
         if self.epochs < 1:
@@ -71,6 +83,12 @@ class TrainConfig:
             raise ValueError("max_rules must be >= 1 when given")
         if self.early_stop_patience is not None and self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1 when given")
+
+
+# TrainConfig's schema: field name -> int, float or bool (X for an ``X | None`` field)
+_HINTS = typing.get_type_hints(TrainConfig)
+CONFIG_TYPES = {f.name: (typing.get_args(_HINTS[f.name]) or (_HINTS[f.name],))[0]
+                for f in fields(TrainConfig)}
 
 
 @dataclass
@@ -421,8 +439,6 @@ def load_model(path: str) -> NREModel:
             np.array(payload["standardization"]["means"], dtype=np.float64),
             np.array(payload["standardization"]["stds"], dtype=np.float64),
         )
-        if std.means.ndim != 1 or std.stds.shape != std.means.shape:
-            raise ValueError("standardization means and stds must be lists of one length")
         tf = tuple(payload["tree_features"])
         if not all(type(f) is int and 0 <= f < std.means.size for f in tf):
             raise ValueError(f"tree features {tf} do not index the {std.means.size} columns")
@@ -440,8 +456,8 @@ def load_model(path: str) -> NREModel:
         cfg = TrainConfig(**payload["config"])
         model = NREModel(std, rules, cfg, tree)
         # numpy reads a string such as "nan" as a number
-        if not all(np.isfinite(a).all() for a in (std.means, std.stds, model.bank.params)):
-            raise ValueError("non-finite standardizer value or parameter")
+        if not np.isfinite(model.bank.params).all():
+            raise ValueError("non-finite rule parameter")
         return model
     except (DataError, LookupError, TypeError, ValueError, OverflowError, RecursionError) as e:
         raise ModelFormatError(f"malformed model file: {e}") from e

@@ -2,12 +2,14 @@
 
 The plot rasterizes a score function on a grid: cells with positive score get
 the positive-class fill, cells with negative score the negative fill, and
-cells scoring exactly zero (empty support) stay unpainted. Data points are
-drawn on top, blue for +1 and red for -1.
+cells scoring exactly zero (empty support) stay unpainted. Data points inside
+the bounds are drawn on top, blue for +1 and red for -1.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import DataError
 
 POSITIVE_FILL = "#9ecbff"
 NEGATIVE_FILL = "#ffb3b3"
@@ -15,12 +17,22 @@ POSITIVE_POINT = "#1f4e9e"
 NEGATIVE_POINT = "#c23b3b"
 
 
+def _checked(bounds) -> tuple[float, float, float, float]:
+    """The bounds, if every bound is finite and both spans are finite and > 0; else DataError."""
+    xmin, xmax, ymin, ymax = bounds
+    spans = (xmax - xmin, ymax - ymin)
+    if not (np.isfinite(bounds).all() and all(0.0 < s < np.inf for s in spans)):
+        raise DataError(f"plot bounds {tuple(map(float, bounds))} need finite values and spans > 0")
+    return bounds
+
+
 def data_bounds(features: np.ndarray, pad: float = 0.25) -> tuple[float, float, float, float]:
-    x0, y0 = features.min(axis=0)
-    x1, y1 = features.max(axis=0)
+    """The data's range padded by ``pad`` of its span each side; DataError past the float range."""
+    x0, y0 = features.min(axis=0).tolist()  # Python floats overflow to inf without a warning
+    x1, y1 = features.max(axis=0).tolist()
     dx = (x1 - x0) or 1.0
     dy = (y1 - y0) or 1.0
-    return (x0 - pad * dx, x1 + pad * dx, y0 - pad * dy, y1 + pad * dy)
+    return _checked((x0 - pad * dx, x1 + pad * dx, y0 - pad * dy, y1 + pad * dy))
 
 
 def grid_points(bounds, resolution: int):
@@ -43,11 +55,11 @@ def render_decision_regions(
     """SVG of the score function's sign regions with the data points overlaid.
 
     ``score_fn`` maps an (N, 2) array to N scores. The output is a pure
-    function of the inputs, so repeated renders are byte-identical.
+    function of the inputs, so repeated renders are byte-identical. Points
+    outside the bounds fall off the canvas and are not drawn.
     """
     features = np.asarray(features, dtype=np.float64)
-    if bounds is None:
-        bounds = data_bounds(features)
+    bounds = data_bounds(features) if bounds is None else _checked(bounds)
     xmin, xmax, ymin, ymax = bounds
     pts, xs, ys = grid_points(bounds, resolution)
     vals = np.asarray(score_fn(pts)).reshape(len(ys), len(xs))
@@ -77,6 +89,8 @@ def render_decision_regions(
                 f'height="{cell_w:.2f}" fill="{fill}"/>'
             )
     for (px, py), lab in zip(features, labels):
+        if not (xmin <= px <= xmax and ymin <= py <= ymax):
+            continue
         color = POSITIVE_POINT if lab > 0 else NEGATIVE_POINT
         out.append(
             f'<circle cx="{sx(px):.2f}" cy="{sy(py):.2f}" r="2.5" fill="{color}" '

@@ -86,24 +86,21 @@ class TreeNode:
         }
 
     @staticmethod
-    def from_dict(d: dict) -> "TreeNode":
-        """The node of a ``to_dict`` form; a count or feature that is not a
-        non-negative int, or a threshold that is not a number float() can
-        hold, is a ValueError."""
+    def from_dict(d: dict, levels: int) -> "TreeNode":
+        """The node of a ``to_dict`` form, with at most ``levels`` levels of splits;
+        a deeper subtree, a count or feature that is not a non-negative int, or a
+        threshold that is not a number float() can hold, is a ValueError."""
         if not (_is_index(d["n_pos"]) and _is_index(d["n_neg"])):
             raise ValueError(f"tree node counts {d['n_pos']!r}, {d['n_neg']!r} are not counts")
         if d["kind"] == "leaf":
             return TreeNode(n_pos=d["n_pos"], n_neg=d["n_neg"])
+        if levels < 1:
+            raise ValueError("tree is deeper than its max_depth")
         if not (_is_index(d["feature"]) and _is_threshold(d["threshold"])):
             raise ValueError(f"tree split {d['feature']!r} <= {d['threshold']!r} is not a split")
-        return TreeNode(
-            n_pos=d["n_pos"],
-            n_neg=d["n_neg"],
-            feature=d["feature"],
-            threshold=d["threshold"],
-            left=TreeNode.from_dict(d["left"]),
-            right=TreeNode.from_dict(d["right"]),
-        )
+        left = TreeNode.from_dict(d["left"], levels - 1)
+        right = TreeNode.from_dict(d["right"], levels - 1)
+        return TreeNode(d["n_pos"], d["n_neg"], d["feature"], d["threshold"], left, right)
 
 
 @dataclass
@@ -177,7 +174,12 @@ class DecisionTree:
 
     @staticmethod
     def from_dict(d: dict) -> "DecisionTree":
-        return DecisionTree(root=TreeNode.from_dict(d["root"]), max_depth=d["max_depth"])
+        """The tree of a ``to_dict`` form; a ``max_depth`` that is not an int in
+        1..MAX_DEPTH, or a split at or below that depth, is a ValueError."""
+        max_depth = d["max_depth"]
+        if not (type(max_depth) is int and 1 <= max_depth <= MAX_DEPTH):
+            raise ValueError(f"tree max_depth {max_depth!r} is not an int in 1..{MAX_DEPTH}")
+        return DecisionTree(root=TreeNode.from_dict(d["root"], max_depth), max_depth=max_depth)
 
 
 def _scan(

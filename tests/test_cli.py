@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import hashlib
 import json
@@ -220,6 +221,14 @@ class TestTrain:
         assert "seed must be >= 0" in err
         assert not model_path.exists()
 
+    def test_standardization_overflow_is_data_error(self, tmp_path, capsys):
+        data, model_path = tmp_path / "wide.csv", tmp_path / "m.json"
+        data.write_text("x0,x1,label\n1e308,0,1\n-1e308,1,-1\n0,2,1\n")
+        code, _, err = run(capsys, "train", "--data", str(data), "--out", str(model_path))
+        assert code == 2
+        assert "column 'x0' overflows: mean 0.0, std inf" in err
+        assert not model_path.exists()
+
     def test_missing_data_file(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "train", "--data", str(tmp_path / "none.csv"), "--out", str(tmp_path / "m.json")
@@ -246,6 +255,40 @@ class TestTrain:
     def test_missing_required_flag_is_usage_error(self, capsys):
         code, _, err = run(capsys, "train", "--data", "x.csv")
         assert code == 1
+
+
+# A value other than the default for each TrainConfig field, cheap to train with.
+FIELD_VALUES = {"max_depth": 3, "min_leaf": 2, "deep": True, "epochs": 3, "batch_size": 50,
+                "learning_rate": 0.02, "l2": 0.001, "seed": 5, "max_rules": 2,
+                "early_stop_patience": 4}
+
+
+class TestConfigFields:
+    """Every TrainConfig field is a flag and a config-file key of train and cv."""
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(TrainConfig)])
+    def test_field_reaches_the_config(self, tmp_path, small_xor_csv, capsys, name, command,
+                                      source):
+        value, out = FIELD_VALUES[name], tmp_path / "out.json"
+        argv = [command, "--data", small_xor_csv, "--out", str(out)]
+        argv += ["--k", "2"] if command == "cv" else []
+        argv += [] if name == "epochs" else ["--epochs", "2"]
+        if source == "flag":
+            flag = "--" + name.replace("_", "-")
+            argv += [flag] if value is True else [flag, str(value)]
+        else:
+            cfg = tmp_path / "nre.cfg"
+            cfg.write_text(f"{name} = {value}\n")
+            argv += ["--config", str(cfg)]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        if command == "train":
+            config = dataclasses.asdict(load_model(out).config)
+        else:
+            config = json.loads(out.read_text())["config"]
+        assert config[name] == value and type(config[name]) is type(value)
 
 
 class TestDepthBound:
@@ -491,6 +534,28 @@ class TestPlot:
         assert option in err
         assert not out.exists()
 
+    def test_points_outside_the_bounds_are_not_drawn(self, tmp_path, small_xor_csv, trained,
+                                                    capsys):
+        out = tmp_path / "x.svg"
+        code, _, _ = run(capsys, "plot", "--model", trained, "--data", small_xor_csv,
+                         "--out", str(out), "--bounds", "0,1e-310,0,1", "--grid-resolution", "5")
+        assert code == 0
+        svg = out.read_text()
+        assert "inf" not in svg and "nan" not in svg
+        x = load_table(small_xor_csv, label_column="label").features
+        inside = (0 <= x[:, 0]) & (x[:, 0] <= 1e-310) & (0 <= x[:, 1]) & (x[:, 1] <= 1)
+        assert svg.count("<circle") == np.count_nonzero(inside)
+
+    def test_bounds_past_the_float_range_are_named(self, tmp_path, trained, capsys):
+        data, out = tmp_path / "wide.csv", tmp_path / "x.svg"
+        data.write_text("x0,x1,label\n1e308,0,1\n-1e308,1,-1\n0,2,1\n")
+        code, _, err = run(capsys, "plot", "--model", trained, "--data", str(data),
+                           "--out", str(out), "--grid-resolution", "5")
+        assert code == 2
+        assert "plot bounds (-inf, inf, -0.5, 2.5) need finite values" in err
+        assert "row" not in err
+        assert not out.exists()
+
     def test_numeric_failure_is_exit_3(self, tmp_path, small_xor_csv, trained, capsys,
                                        monkeypatch):
         def overflow(model, points):
@@ -533,11 +598,17 @@ class TestFetchCommand:
         assert (cache / "toyset.tsv.gz").exists()
 
     def test_console_entry_point_installed(self):
+        import os
         import subprocess
         import sys
 
+        import nre
+
+        # the package the tests import, also when pytest found it through its pythonpath
+        path = [os.path.dirname(os.path.dirname(nre.__file__)), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         proc = subprocess.run(
-            [sys.executable, "-m", "nre", "--help"], capture_output=True, text=True
+            [sys.executable, "-m", "nre", "--help"], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0
         assert "gen" in proc.stdout and "compare" in proc.stdout

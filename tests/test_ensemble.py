@@ -115,6 +115,11 @@ class TestTrainConfig:
             {"l2": math.inf},
             {"seed": -1},
             {"max_depth": MAX_DEPTH + 1},
+            {"max_depth": 3.5},
+            {"deep": "no"},
+            {"epochs": True},
+            {"seed": 0.5},
+            {"learning_rate": True},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -631,7 +636,7 @@ def random_models(draw):
         early_stop_patience=draw(st.none() | st.integers(1, 100)),
     )
     std = StandardizationParams(scattered(p), np.abs(scattered(p)) + 5e-324)
-    tree = DecisionTree(draw(tree_nodes(p, 4)), max_depth=cfg.max_depth)
+    tree = DecisionTree(draw(tree_nodes(p, min(4, cfg.max_depth))), max_depth=cfg.max_depth)
     return NREModel(std, rules, cfg, tree)
 
 
@@ -732,6 +737,17 @@ class TestPersistence:
                 lambda p, r: p["source_tree"]["root"].update(threshold=2**1100),
                 id="huge_threshold",
             ),
+            pytest.param(lambda p, r: p["config"].update(max_depth=3.5), id="float_depth"),
+            pytest.param(lambda p, r: p["config"].update(deep="no"), id="str_deep"),
+            pytest.param(lambda p, r: p["config"].update(epochs=True), id="bool_epochs"),
+            pytest.param(lambda p, r: p["source_tree"].update(max_depth="abc"), id="str_tree_depth"),
+            pytest.param(lambda p, r: p["source_tree"].update(max_depth=0), id="zero_tree_depth"),
+            pytest.param(
+                lambda p, r: p["source_tree"].update(max_depth=MAX_DEPTH + 1),
+                id="tree_depth_past_bound",
+            ),
+            # the widest rule has two or more conditions, so the tree is at least 2 deep
+            pytest.param(lambda p, r: p["source_tree"].update(max_depth=1), id="tree_too_deep"),
         ],
     )
     def test_malformed_rules_rejected(self, tmp_path, capsys, mutate):
@@ -766,15 +782,19 @@ class TestPersistence:
             path.write_text(f'{{"checksum":"{digest}",{text[1:]}')
 
         stages = set()
-        for depth in range(sys.getrecursionlimit(), 0, -1):  # down to the first that loads
+        for depth in range(sys.getrecursionlimit(), 0, -1):  # down to the tree's depth check
             write(depth)
-            try:
+            with pytest.raises(ModelFormatError) as caught:
                 load_model(path)
+            stages.add(str(caught.value).split(":")[0])
+            if "deeper than its max_depth" in str(caught.value):
                 break
-            except ModelFormatError as e:
-                stages.add(str(e).split(":")[0])
-        # decoding fails near the limit; a little short of it, the re-checksum does
+        # decoding fails near the limit; a little short of it, the re-checksum does; below
+        # that the chain reaches the check against the source tree's max_depth (3)
         assert stages == {"not a valid model file", "malformed model file"}
+        assert "deeper than its max_depth" in str(caught.value)
+        write(3)
+        load_model(path)
         write(5000)
         with pytest.raises(ModelFormatError, match="recursion"):
             load_model(path)
