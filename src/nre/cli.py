@@ -16,6 +16,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .data import (
+    MAX_INFORMATIVE,
     Dataset,
     fetch_pmlb,
     gen_linear_separable,
@@ -106,10 +107,31 @@ def _bounds(text: str) -> tuple[float, ...]:
     return b
 
 
-def _positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return int(text)
+def _int_in(lo: int, hi: int | None = None):
+    """The argparse type of an integer in lo..hi (hi=None: no upper bound)."""
+
+    def bounded_int(text: str) -> int:
+        value = int(text)
+        if value < lo or hi is not None and value > hi:
+            span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+            raise argparse.ArgumentTypeError(f"must be an integer {span}, got {text!r}")
+        return value
+
+    return bounded_int
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _train_config(args) -> TrainConfig:
@@ -162,16 +184,14 @@ def cmd_gen(args) -> int:
     if seed < 0:
         raise UsageError("--seed must be >= 0")
     meta = {"kind": args.kind, "seed": seed}
+    n = args.n if args.n is not None else {"xor": 4000, "linear": 2000, "madelon": 2600}[args.kind]
     if args.kind == "xor":
-        n = args.n or 4000
         dataset = gen_rotated_xor(n, args.angle, args.noise_std, seed)
         meta.update(n=n, angle_deg=args.angle, noise_std=args.noise_std)
     elif args.kind == "linear":
-        n = args.n or 2000
         dataset = gen_linear_separable(n, args.angle, args.margin, seed)
         meta.update(n=n, angle_deg=args.angle, margin=args.margin)
     elif args.kind == "madelon":
-        n = args.n or 2600
         dataset, origin_map = gen_madelon_like(
             n, args.informative, args.redundant, args.distractors, seed
         )
@@ -344,13 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic dataset CSV")
     p.add_argument("kind", choices=["xor", "linear", "madelon"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--angle", type=float, default=45.0)
-    p.add_argument("--noise-std", dest="noise_std", type=float, default=0.15)
-    p.add_argument("--margin", type=float, default=0.05)
-    p.add_argument("--informative", type=int, default=5)
-    p.add_argument("--redundant", type=int, default=15)
-    p.add_argument("--distractors", type=int, default=480)
+    p.add_argument("--n", type=_int_in(1))
+    p.add_argument("--angle", type=_finite_float, default=45.0)
+    p.add_argument("--noise-std", dest="noise_std", type=_non_negative_float, default=0.15)
+    p.add_argument("--margin", type=_non_negative_float, default=0.05)
+    p.add_argument("--informative", type=_int_in(1, MAX_INFORMATIVE), default=5)
+    p.add_argument("--redundant", type=_int_in(0), default=15)
+    p.add_argument("--distractors", type=_int_in(0), default=480)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
@@ -387,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cv", help="stratified k-fold cross-validation")
     p.add_argument("--data", required=True)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=_int_in(2), default=5)
     p.add_argument("--grid", action="store_true",
                    help="sweep tree depth over {2,4,6,8,10} and report the best")
     p.add_argument("--out")
@@ -406,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--grid-resolution", dest="grid_resolution", type=_positive_int, default=200)
+    p.add_argument("--grid-resolution", dest="grid_resolution", type=_int_in(1), default=200)
     p.add_argument("--bounds", type=_bounds, metavar="XMIN,XMAX,YMIN,YMAX")
     p.add_argument("--rule-index", dest="rule_index", type=int)
     p.add_argument("--at-iteration", dest="at_iteration", type=int)

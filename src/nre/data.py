@@ -22,6 +22,9 @@ from .errors import DataError
 DEFAULT_PMLB_BASE_URL = "https://github.com/EpistasisLab/pmlb/raw/master/datasets"
 PMLB_BASE_URL_ENV = "NRE_PMLB_BASE_URL"
 
+# gen_madelon_like places 2**informative clusters; 16 gives 65536 of them.
+MAX_INFORMATIVE = 16
+
 
 @dataclass
 class Dataset:
@@ -249,8 +252,10 @@ def gen_linear_separable(n: int, angle_deg: float, margin: float, seed: int) -> 
     """
     if n < 2:
         raise DataError("need n >= 2")
-    if margin < 0:
-        raise DataError("margin must be >= 0")
+    if not 0 <= margin < math.inf:
+        raise DataError(f"margin must be finite and >= 0, got {margin!r}")
+    if not math.isfinite(angle_deg):
+        raise DataError(f"angle_deg must be finite, got {angle_deg!r}")
     rng = np.random.default_rng(seed)
     theta = math.radians(angle_deg)
     direction = np.array([math.cos(theta), math.sin(theta)])
@@ -271,6 +276,10 @@ def gen_rotated_xor(n: int, angle_deg: float, noise_std: float, seed: int) -> Da
     """
     if n < 4:
         raise DataError("need n >= 4")
+    if not 0 <= noise_std < math.inf:
+        raise DataError(f"noise_std must be finite and >= 0, got {noise_std!r}")
+    if not math.isfinite(angle_deg):
+        raise DataError(f"angle_deg must be finite, got {angle_deg!r}")
     rng = np.random.default_rng(seed)
     centers = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
     cluster_labels = np.array([1, -1, 1, -1])
@@ -289,21 +298,21 @@ def gen_madelon_like(
 ) -> tuple[Dataset, list[tuple[str, int]]]:
     """Hypercube-cluster dataset: informative corners, linear echoes, pure noise.
 
-    Clusters sit at the 2**informative hypercube vertices (cluster std 0.1 per
-    coordinate) with balanced random ±1 vertex labels. Redundant columns are
+    Clusters sit at the 2**informative hypercube vertices (informative at most
+    MAX_INFORMATIVE; cluster std 0.1 per coordinate) with balanced random ±1 vertex labels. Redundant columns are
     random linear combinations (coefficients uniform on [-1, 1]) of the
     informative ones; distractor columns are independent standard normals.
     Column order is shuffled by the seed. Returns the dataset together with a
     per-column origin map of ("informative" | "redundant" | "distractor", k)
     pairs for test use.
     """
-    if informative < 1:
-        raise DataError("need informative >= 1")
+    if not 1 <= informative <= MAX_INFORMATIVE:
+        raise DataError(f"informative must be between 1 and {MAX_INFORMATIVE}, got {informative}")
+    if redundant < 0 or distractors < 0:
+        raise DataError(f"redundant and distractors must be >= 0, got {redundant}, {distractors}")
     rng = np.random.default_rng(seed)
     n_vertices = 2**informative
-    vertices = np.array(
-        [[1.0 if (v >> b) & 1 else -1.0 for b in range(informative)] for v in range(n_vertices)]
-    )
+    vertices = np.where((np.arange(n_vertices)[:, None] >> np.arange(informative)) & 1, 1.0, -1.0)
     vertex_order = rng.permutation(n_vertices)
     vertex_labels = np.empty(n_vertices, dtype=np.int64)
     vertex_labels[vertex_order[: n_vertices // 2]] = 1

@@ -130,12 +130,9 @@ class NREModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) without overflow: exp(-|z|) / (1 + exp(-|z|)) for z < 0."""
+    t = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, t) / (1.0 + t)
 
 
 def logistic_loss(u, y):
@@ -148,27 +145,17 @@ def logistic_loss(u, y):
     return loss, dloss
 
 
-def model_loss_and_grad(
-    bank: RuleBank,
-    X_t: np.ndarray,
-    labels: np.ndarray,
-    l2: float = 0.0,
-    fp: BankPass | None = None,
-    scratch: dict | None = None,
-):
+def model_loss_and_grad(bank: RuleBank, fp: BankPass, labels: np.ndarray, l2: float = 0.0):
     """Mean logistic loss of the summed rule outputs plus optional L2 shrinkage.
 
-    ``X_t`` holds the batch's tree-feature columns. Returns the objective value
-    and its gradient over ``bank.params``; the gradient is ``bank.grad``, which
-    the next call overwrites. With shrinkage l2=rho the gradient is the data
-    gradient plus 2*rho*params. ``fp``, when given, must be ``bank.forward(X_t)``
-    at the current parameters; it saves running that pass again. ``scratch``
-    goes to ``bank.backward``.
+    ``fp`` is ``bank.forward`` over the batch's tree-feature columns at the
+    current parameters. Returns the objective value and its gradient over
+    ``bank.params``; the gradient is ``bank.grad``, which the next call
+    overwrites. With shrinkage l2=rho the gradient is the data gradient plus
+    2*rho*params.
     """
-    if fp is None:
-        fp = bank.forward(X_t)
     losses, dscores = logistic_loss(fp.scores, labels)
-    grad = bank.backward(X_t, fp, dscores / X_t.shape[0], scratch)
+    grad = bank.backward(fp, dscores / fp.scores.size)
     loss = float(losses.mean())
     if l2 > 0.0:
         grad += 2.0 * l2 * bank.params
@@ -213,11 +200,12 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
     Both batch modes run one epoch loop. An epoch steps through the training
     rows in batch-sized slices of a permutation drawn at the end of the
     previous epoch (epoch 1's before the epoch-0 row); a full batch is one
-    step. The step's large arrays (the forward pass and the backward
-    temporaries) are made once and overwritten by the later steps of the same
-    size: once per run with full batches, once per epoch and batch size with
-    minibatches. So the epoch loop does not hand them back to the allocator
-    and fault them in again.
+    step, and a full-batch step runs on the history pass's rows. The step's
+    large arrays (the forward pass with its backward temporaries) are made
+    once and overwritten by the later steps of the same size: once per run
+    with full batches, once per epoch and batch size with minibatches. So the
+    epoch loop does not hand them back to the allocator and fault them in
+    again.
 
     A non-finite training loss after an epoch raises FloatingPointError naming
     that epoch. Early stopping restores the parameters of the epoch with the
@@ -276,10 +264,6 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
     if val_idx is not None:
         X_val, y_val = X_t[val_idx], y[val_idx]
     full = batch == n_train  # one step per epoch, on the pass of the history row before it
-    # The step buffers: the forward pass fp and the backward temporaries. A
-    # minibatch epoch drops them for its short last batch and before its
-    # history pass, so that only one set is alive at a time.
-    scratch = {}
 
     order = rng.permutation(n_train)
     fp, (loss, err) = _epoch_history(bank, X_train, y_train, order if full else None)
@@ -290,15 +274,17 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
     for epoch in range(1, cfg.epochs + 1):
         for start in range(0, n_train, batch):
             idx = order[start : start + batch]
-            X_b = X_train.take(idx, axis=0)  # several times faster than X_train[idx]
             if not full:
+                # The pass fp holds the step buffers. It is dropped for a short last
+                # batch and before the history pass, so only one set is alive.
                 if fp is not None and fp.scores.size != idx.size:
-                    fp, scratch = None, {}
-                fp = bank.forward(X_b, out=fp)
-            _, grad = model_loss_and_grad(bank, X_b, y_train[idx], l2=cfg.l2, fp=fp, scratch=scratch)
+                    fp = None
+                # take is several times faster than X_train[idx]
+                fp = bank.forward(X_train.take(idx, axis=0), out=fp)
+            _, grad = model_loss_and_grad(bank, fp, y_train[idx], l2=cfg.l2)
             adam_step(bank.params, grad, state)
         if not full:
-            fp, scratch = None, {}
+            fp = None
         order = rng.permutation(n_train)
         fp, (loss, err) = _epoch_history(bank, X_train, y_train, order if full else None, fp)
         if not np.isfinite(loss):

@@ -115,12 +115,14 @@ def init_deep_from_rule(rule: ConjunctiveRule, tree_features) -> NeuralRule:
 
 
 class BankPass(NamedTuple):
-    """Intermediates of one bank forward pass over N rows, kept for backward."""
+    """One bank forward pass over N rows: everything its backward pass needs."""
 
     scores: np.ndarray  # (N,) summed rule outputs
     pooled: np.ndarray  # (R, N) pooled minimum; 0 outside the rule's support
     final: np.ndarray  # (R, H, N) last-layer activations, +inf at padded units
     act1: np.ndarray | None  # (R, H, N) first-layer activations of deep rules
+    X_t: np.ndarray  # (N, q) the rows the pass ran on
+    work: dict  # backward's temporaries by name; empty until the first backward
 
 
 class RuleBank:
@@ -179,8 +181,8 @@ class RuleBank:
         """Every rule on every row of X_t, the (N, q) tree-feature columns.
 
         ``out``, an earlier pass of this bank over N rows, receives the new
-        pass in its own arrays instead of new ones; a pass over another number
-        of rows is a ValueError.
+        pass in its own arrays instead of new ones and hands it its backward
+        temporaries; a pass over another number of rows is a ValueError.
         """
         if out is None:
             out = _NO_PASS
@@ -198,31 +200,28 @@ class RuleBank:
         final[self._pad] = np.inf
         pooled = final.min(axis=1, out=out.pooled)
         scores = np.matmul(self.c, pooled, out=out.scores)
-        return BankPass(scores, pooled, final, act1 if self.deep else None)
+        work = {} if out is _NO_PASS else out.work
+        return BankPass(scores, pooled, final, act1 if self.deep else None, X_t, work)
 
-    def backward(
-        self, X_t: np.ndarray, fp: BankPass, upstream: np.ndarray, scratch: dict | None = None
-    ) -> np.ndarray:
-        """Gradient of sum_n upstream[n] * (summed rule outputs of row n).
+    def backward(self, fp: BankPass, upstream: np.ndarray) -> np.ndarray:
+        """Gradient of sum_n upstream[n] * (summed rule outputs of row n of fp).
 
         Writes into and returns ``grad``. Outside a rule's support its
         gradient is exactly zero; inside, only the pooled unit carries
         gradient, and in deep rules it fans out to the first-layer units with
-        positive activation. ``scratch``, a dict kept by the caller, holds the
-        temporaries from one call to the next, keyed by name and shape.
+        positive activation. The temporaries live in ``fp.work``: made by the
+        first call on a pass, overwritten by every later one.
         """
-        cells, rows = fp.final.shape, fp.pooled.shape
+        cells, rows, work = fp.final.shape, fp.pooled.shape, fp.work
         np.matmul(fp.pooled, upstream, out=self._gc)
-        inside = np.greater(fp.pooled, 0.0, out=_scratch(scratch, "inside", rows, bool))
-        g = _scratch(scratch, "g", rows)  # upstream * c on support rows, +0.0 elsewhere
+        inside = np.greater(fp.pooled, 0.0, out=_temp(work, "inside", rows, bool))
+        g = _temp(work, "g", rows)  # upstream * c on support rows, +0.0 elsewhere
         g.fill(0.0)
         np.multiply(upstream, self.c[:, None], out=g, where=inside)
-        live = np.not_equal(g, 0.0, out=_scratch(scratch, "live", rows, bool))
-        route = np.equal(
-            fp.final, fp.pooled[:, None, :], out=_scratch(scratch, "route", cells, bool)
-        )
+        live = np.not_equal(g, 0.0, out=_temp(work, "live", rows, bool))
+        route = np.equal(fp.final, fp.pooled[:, None, :], out=_temp(work, "route", cells, bool))
         route &= live[:, None, :]
-        G = _scratch(scratch, "G", cells)
+        G = _temp(work, "G", cells)
         G.fill(0.0)
         if np.count_nonzero(route) == np.count_nonzero(live):
             np.copyto(G, g[:, None, :], where=route)
@@ -234,9 +233,9 @@ class RuleBank:
             gW2, gB2 = self._gW2B2
             np.matmul(G, fp.act1.transpose(0, 2, 1), out=gW2)
             G.sum(axis=2, out=gB2)
-            G = np.matmul(self.W2.transpose(0, 2, 1), G, out=_scratch(scratch, "W2tG", cells))
-            G *= np.greater(fp.act1, 0.0, out=_scratch(scratch, "act1_pos", cells, bool))
-        np.matmul(G, X_t, out=self._gW1)
+            G = np.matmul(self.W2.transpose(0, 2, 1), G, out=_temp(work, "W2tG", cells))
+            G *= np.greater(fp.act1, 0.0, out=_temp(work, "act1_pos", cells, bool))
+        np.matmul(G, fp.X_t, out=self._gW1)
         G.sum(axis=2, out=self._gB1)
         return self.grad
 
@@ -258,16 +257,16 @@ class RuleBank:
         return out
 
 
-_NO_PASS = BankPass(None, None, None, None)
+# forward's ``out`` when there is none: a named constant, since building a
+# BankPass costs more than half a microsecond, a few percent of one row's score
+_NO_PASS = BankPass(None, None, None, None, None, None)
 
 
-def _scratch(scratch: dict | None, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-    """The array ``scratch[name, shape]``, made on first use; a new one without a scratch."""
-    if scratch is None:
-        return np.empty(shape, dtype)
-    buf = scratch.get((name, shape))
+def _temp(work: dict, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """The array ``work[name]``, made on first use."""
+    buf = work.get(name)
     if buf is None:
-        buf = scratch[name, shape] = np.empty(shape, dtype)
+        buf = work[name] = np.empty(shape, dtype)
     return buf
 
 

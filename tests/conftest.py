@@ -113,7 +113,7 @@ def fd_loss_gradient(bank, X_t, y, h=1e-5):
         saved = bank.params[i]
         for sign in (+1, -1):
             bank.params[i] = saved + sign * h
-            fd[i] += sign * model_loss_and_grad(bank, X_t, y)[0]
+            fd[i] += sign * model_loss_and_grad(bank, bank.forward(X_t), y)[0]
         bank.params[i] = saved
     return fd / (2 * h)
 

@@ -10,6 +10,10 @@ including its gradient with respect to the input point.
 found each row's pooled unit with an argmin over the unit axis; the bank now
 routes by an equality mask, and the tests require bit-identical gradients.
 
+``reference_sigmoid`` is the logistic function as two masked halves, the way
+``nre.ensemble._sigmoid`` computed it before it became one ``np.where``; the
+tests require the same bits on every input that is not NaN.
+
 ``reference_build_tree`` is the recursive tree growth that argsorts every
 feature at every node, one feature at a time. ``nre.tree.build_tree`` sorts
 each feature once and scans all features of a node together; the tests require
@@ -119,8 +123,17 @@ def backward(n: NeuralRule, trace: ForwardTrace, upstream: float) -> RuleGradien
     return RuleGradients(gw1, gb1, gw2, gb2, dc, dx_t)
 
 
-def reference_bank_backward(bank: RuleBank, X_t: np.ndarray, fp: BankPass, upstream: np.ndarray):
-    """Gradient of sum_n upstream[n] * (summed rule outputs of row n).
+def reference_sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_bank_backward(bank: RuleBank, fp: BankPass, upstream: np.ndarray):
+    """Gradient of sum_n upstream[n] * (summed rule outputs of row n of fp).
 
     Writes into and returns ``grad``. Outside a rule's support its
     gradient is exactly zero; inside, only the pooled unit carries
@@ -138,7 +151,7 @@ def reference_bank_backward(bank: RuleBank, X_t: np.ndarray, fp: BankPass, upstr
         G.sum(axis=2, out=gB2)
         G = np.matmul(bank.W2.transpose(0, 2, 1), G)
         G *= fp.act1 > 0.0
-    np.matmul(G, X_t, out=bank._gW1)
+    np.matmul(G, fp.X_t, out=bank._gW1)
     G.sum(axis=2, out=bank._gB1)
     return bank.grad
 

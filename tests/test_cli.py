@@ -106,6 +106,34 @@ class TestGen:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("xor", "--n", "0"),
+            ("linear", "--n", "0"),
+            ("madelon", "--n", "-1"),
+            ("madelon", "--n", "20", "--informative", "0"),
+            ("madelon", "--n", "20", "--informative", "17"),
+            ("madelon", "--n", "20", "--redundant", "-3"),
+            ("madelon", "--n", "20", "--distractors", "-5"),
+            ("xor", "--n", "20", "--noise-std", "-1"),
+            ("xor", "--n", "20", "--noise-std", "nan"),
+            ("xor", "--n", "20", "--noise-std", "inf"),
+            ("linear", "--n", "20", "--margin", "-0.5"),
+            ("linear", "--n", "20", "--margin", "nan"),
+            ("linear", "--n", "20", "--margin", "inf"),
+            ("xor", "--n", "20", "--angle", "nan"),
+            ("linear", "--n", "20", "--angle", "inf"),
+        ],
+        ids=lambda argv: "_".join(argv[-2:]).lstrip("-") + "-" + argv[0],
+    )
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "d.csv"
+        code, _, err = run(capsys, "gen", *argv, "--out", str(out))
+        assert code == 1
+        assert f"usage error: argument {argv[-2]}" in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_train_writes_model_and_log(self, tmp_path, small_xor_csv, capsys):
@@ -386,6 +414,18 @@ class TestCv:
         strip = lambda s: "\n".join(ln for ln in s.splitlines() if "s)" not in ln)
         assert code1 == code2 == 0
         assert strip(out1) == strip(out2)  # identical up to wall time
+
+    @pytest.mark.parametrize("k", ["0", "1"])
+    def test_fewer_than_two_folds_is_usage_error(self, tmp_path, capsys, k):
+        # checked as it is parsed: a missing data file is not even looked for
+        code, _, err = run(capsys, "cv", "--data", str(tmp_path / "none.csv"), "--k", k)
+        assert code == 1
+        assert "usage error: argument --k: must be an integer >= 2" in err
+
+    def test_more_folds_than_rows_is_data_error(self, small_xor_csv, capsys):
+        code, _, err = run(capsys, "cv", "--data", small_xor_csv, "--k", "100000")
+        assert code == 2
+        assert "folds" in err
 
     def test_grid_sweeps_depths(self, small_xor_csv, capsys):
         code, stdout, _ = run(

@@ -521,6 +521,33 @@ class TestGenMadelonLike:
         assert oa == ob
 
 
+BAD_GENERATOR_ARGS = {
+    "xor-negative-noise": (gen_rotated_xor, (40, 45.0, -1.0, 0)),
+    "xor-nan-noise": (gen_rotated_xor, (40, 45.0, math.nan, 0)),
+    "xor-inf-noise": (gen_rotated_xor, (40, 45.0, math.inf, 0)),
+    "xor-inf-angle": (gen_rotated_xor, (40, math.inf, 0.1, 0)),
+    "linear-nan-margin": (gen_linear_separable, (40, 45.0, math.nan, 0)),
+    "linear-inf-margin": (gen_linear_separable, (40, 45.0, math.inf, 0)),
+    "linear-nan-angle": (gen_linear_separable, (40, math.nan, 0.1, 0)),
+    "madelon-no-informative": (gen_madelon_like, (40, 0, 1, 1, 0)),
+    "madelon-17-informative": (gen_madelon_like, (40, 17, 1, 1, 0)),
+    "madelon-negative-redundant": (gen_madelon_like, (40, 3, -3, 1, 0)),
+    "madelon-negative-distractors": (gen_madelon_like, (40, 3, 1, -5, 0)),
+}
+
+
+@pytest.mark.parametrize("case", BAD_GENERATOR_ARGS)
+def test_generator_rejects_bad_arguments(case):
+    gen, args = BAD_GENERATOR_ARGS[case]
+    with pytest.raises(DataError):
+        gen(*args)
+
+
+def test_madelon_vertices_at_the_informative_bound():
+    d, _ = gen_madelon_like(20, 16, 0, 0, seed=1)
+    assert d.n_features == 16 and set(np.abs(d.features).round().ravel()) == {1.0}
+
+
 class TestFetchPmlb:
     def test_fetch_parses_and_caches(self, tmp_path, local_http_dataset_server):
         base_url, tsv = local_http_dataset_server

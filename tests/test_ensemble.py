@@ -11,8 +11,9 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import (
     fd_loss_gradient,
@@ -33,6 +34,7 @@ from nre.ensemble import (
     NREModel,
     TrainConfig,
     _canonical,
+    _sigmoid,
     evaluate,
     load_model,
     logistic_loss,
@@ -46,7 +48,7 @@ from nre.ensemble import (
 from nre.errors import DataError, ModelFormatError
 from nre.neural import SCORE_CHUNK_CELLS, NeuralRule, RuleBank
 from nre.tree import MAX_DEPTH, DecisionTree, TreeNode, build_tree
-from reference_oracle import forward
+from reference_oracle import forward, reference_sigmoid
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -91,6 +93,16 @@ class TestLogisticLoss:
         y = np.array([1, -1, 1])
         loss, d = logistic_loss(u, y)
         assert loss.shape == (3,) and d.shape == (3,)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(z=arrays(np.float64, st.integers(0, 40), elements=st.floats()))
+    @example(z=np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308, np.nan]))
+    @example(z=np.array([-745.2, -709.8, -37.0, 36.9, 709.8, 745.2]))
+    def test_sigmoid_matches_masked_reference(self, z):
+        got, want = _sigmoid(z), reference_sigmoid(z)
+        nan = np.isnan(z)
+        assert np.array_equal(np.isnan(got), nan)  # NaN in, NaN out, and only there
+        assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 class TestTrainConfig:
@@ -266,12 +278,36 @@ class TestTrainPipeline:
             assert rows == [300] + epochs * ([64] * 4 + [44] + [300])
 
     @pytest.mark.parametrize("deep", [False, True])
+    def test_full_batch_step_runs_on_its_history_pass_rows(self, monkeypatch, deep):
+        """One gather per full-batch epoch: the step's rows are its history pass's."""
+        gathered, stepped = [], []
+        real_forward, real_backward = RuleBank.forward, RuleBank.backward
+
+        def forward(bank, X_t, out=None):
+            gathered.append(X_t)
+            return real_forward(bank, X_t, out=out)
+
+        def backward(bank, fp, upstream):
+            stepped.append(fp.X_t)
+            return real_backward(bank, fp, upstream)
+
+        monkeypatch.setattr(RuleBank, "forward", forward)
+        monkeypatch.setattr(RuleBank, "backward", backward)
+        epochs = 7
+        nre_train(easy_dataset(np.random.default_rng(3), n=300),
+                  TrainConfig(max_depth=3, epochs=epochs, deep=deep))
+        assert len(gathered) == epochs + 1 and len(stepped) == epochs
+        assert all(s is g for s, g in zip(stepped, gathered))
+
+    @pytest.mark.parametrize("deep", [False, True])
     @pytest.mark.parametrize("batch_size", [None, 64])
     def test_steps_reuse_one_set_of_buffers(self, monkeypatch, batch_size, deep):
         """Full batch: every pass of the run is written into the first one.
         Minibatch: every step of an epoch into the first step of its size, and
-        no step's buffers are alive at another size's step or a history pass."""
-        epoch, firsts, shared, alive, refs, scratches = [0], {}, [], [], [], {}
+        no step's buffers are alive at another size's step or a history pass.
+        A step's backward temporaries are those of its first pass's ``work``,
+        and they die with that pass."""
+        epoch, firsts, shared, alive, refs, works, alive_work = [0], {}, [], [], [], {}, []
         real_forward, real_backward = RuleBank.forward, RuleBank.backward
 
         def key(X_t):
@@ -279,6 +315,7 @@ class TestTrainPipeline:
 
         def forward(bank, X_t, out=None):
             alive.append(sum(r() is not None for r in firsts.values()))
+            alive_work.append(sum(all(r() is not None for r in w.values()) for w in works.values()))
             fp = real_forward(bank, X_t, out=out)
             if batch_size is None or X_t.shape[0] != 300:  # not a minibatch history pass
                 first = firsts.setdefault(key(X_t), weakref.ref(fp.final))()
@@ -286,9 +323,13 @@ class TestTrainPipeline:
             refs.append(weakref.ref(fp.final))
             return fp
 
-        def backward(bank, X_t, fp, upstream, scratch=None):
-            assert scratches.setdefault(key(X_t), scratch) is scratch is not None
-            return real_backward(bank, X_t, fp, upstream, scratch)
+        def backward(bank, fp, upstream):
+            grad = real_backward(bank, fp, upstream)
+            first = works.setdefault(key(fp.X_t), {k: weakref.ref(a) for k, a in fp.work.items()})
+            assert first.keys() == fp.work.keys() and "route" in first
+            assert all(np.shares_memory(first[k](), a) for k, a in fp.work.items())
+            refs.extend(weakref.ref(a) for a in fp.work.values())
+            return grad
 
         def hook(stage, payload):
             if stage == "train_epoch":
@@ -305,13 +346,13 @@ class TestTrainPipeline:
             assert alive == [0] + [1] * epochs
         else:
             steps = [(e, rows) for e in range(1, epochs + 1) for rows in (64, 44)]
-            assert list(firsts) == list(scratches) == steps
+            assert list(firsts) == list(works) == steps
             # four steps of 64 rows, one of 44, then the history pass
             assert alive == [0] + epochs * [0, 1, 1, 1, 0, 0]
         assert len(shared) == len(alive) - (0 if batch_size is None else epochs + 1)
         assert all(shared)
+        assert alive_work == alive
         # and none of them outlives the run: the model holds no step buffers
-        scratches.clear()
         gc.collect()
         assert not any(r() is not None for r in refs)
 
@@ -390,7 +431,7 @@ class TestWholeModelGradient:
                 X = kink_distant_points(rng, rules, count=5, p=3)
                 y = np.where(rng.random(5) > 0.5, 1, -1)
                 bank = RuleBank(rules)
-                grad = model_loss_and_grad(bank, X, y)[1].copy()
+                grad = model_loss_and_grad(bank, bank.forward(X), y)[1].copy()
                 fd = fd_loss_gradient(bank, X, y)
                 scale = np.maximum(np.abs(fd), 1e-8)
                 assert np.max(np.abs(grad - fd) / scale) < 1e-4
@@ -401,8 +442,8 @@ class TestWholeModelGradient:
         X = rng.normal(size=(20, 3))
         y = np.where(rng.random(20) > 0.5, 1, -1)
         rho = 0.37
-        g0 = model_loss_and_grad(bank, X, y, l2=0.0)[1].copy()
-        _, g1 = model_loss_and_grad(bank, X, y, l2=rho)
+        g0 = model_loss_and_grad(bank, bank.forward(X), y, l2=0.0)[1].copy()
+        _, g1 = model_loss_and_grad(bank, bank.forward(X), y, l2=rho)
         np.testing.assert_allclose(g1 - g0, 2 * rho * bank.params, atol=1e-12)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -417,7 +458,8 @@ class TestWholeModelGradient:
         ]
         X = rng.normal(0.0, 1.5, size=(int(rng.integers(1, 30)), 4))
         y = np.where(rng.random(X.shape[0]) > 0.5, 1, -1)
-        loss, grad = model_loss_and_grad(RuleBank(rules), X[:, list(tf)], y)
+        bank = RuleBank(rules)
+        loss, grad = model_loss_and_grad(bank, bank.forward(X[:, list(tf)]), y)
         ref_loss, ref_grad = oracle_loss_and_grad(rules, X, y)
         assert abs(loss - ref_loss) <= 1e-12
         np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12)

@@ -14,7 +14,6 @@ from conftest import (
 from nre.neural import (
     SCORE_CHUNK_CELLS,
     AdamState,
-    BankPass,
     NeuralRule,
     RuleBank,
     adam_step,
@@ -38,7 +37,7 @@ def point_gradient(n, x, upstream):
     """The bank's gradient of upstream * (rule output at x) over its parameter vector."""
     bank = RuleBank([n])
     X_t = np.asarray(x, dtype=np.float64)[None, list(n.tree_features)]
-    return bank, bank.backward(X_t, bank.forward(X_t), np.array([upstream]))
+    return bank, bank.backward(bank.forward(X_t), np.array([upstream]))
 
 
 def fd_param_gradient(bank, x, upstream, h=1e-5):
@@ -285,7 +284,7 @@ class TestBackward:
             upstream = rng.normal(size=40)
             bank = RuleBank([n])
             X_t = X[:, list(n.tree_features)]
-            batch = bank.backward(X_t, bank.forward(X_t), upstream)
+            batch = bank.backward(bank.forward(X_t), upstream)
             np.testing.assert_allclose(batch, oracle_gradient([n], X, upstream), atol=1e-12)
 
     def test_min_routing_shields_other_units(self):
@@ -354,32 +353,34 @@ class TestMaskRouting:
         bank = RuleBank(tie_prone_rules(rng, deep, n_rules, q, dyadic))
         X = rng.integers(-6, 7, size=(n_rows, q)) / 4.0 if dyadic else rng.normal(size=(n_rows, q))
         X[rng.random(n_rows) < 0.2] *= 40.0  # far rows, mostly outside every support
-        fp = bank.forward(X)
+        stale = dirty = None
+        if reuse:  # a stale pass whose temporaries are then scribbled over
+            other = rng.normal(size=(n_rows, q)) * 2.0
+            stale = bank.forward(other)
+            bank.backward(stale, rng.normal(size=n_rows))
+            for buf in stale.work.values():
+                buf.fill(True if buf.dtype == bool else np.nan)
+            dirty = dict(stale.work)
+        fp = bank.forward(X, out=stale)
         if broken_columns:  # an all-inf column and a NaN unit, as overflowing rows give
             final, H = fp.final.copy(), bank.B1.shape[1]
             final[rng.integers(n_rules), :, rng.integers(n_rows)] = np.inf
             final[rng.integers(n_rules), rng.integers(H), rng.integers(n_rows)] = np.nan
-            fp = BankPass(fp.scores, final.min(axis=1), final, fp.act1)
+            fp = fp._replace(pooled=final.min(axis=1), final=final)
         support = fp.pooled > 0.0
         if (np.count_nonzero(fp.final == fp.pooled[:, None, :], axis=1)[support] > 1).any():
             event("tie on a support row")
         if not support.any(axis=0).all():
             event("row outside every support")
         upstream = rng.normal(size=n_rows)
-        scratch = None
-        if reuse:  # temporaries left by a call on other rows, then scribbled over
-            scratch = {}
-            other = rng.normal(size=(n_rows, q)) * 2.0
-            bank.backward(other, bank.forward(other), rng.normal(size=n_rows), scratch)
-            for buf in scratch.values():
-                buf.fill(True if buf.dtype == bool else np.nan)
-            dirty = dict(scratch)
-        got = bank.backward(X, fp, upstream, scratch).copy()
-        want = reference_bank_backward(bank, X, fp, upstream).copy()
+        got = bank.backward(fp, upstream).copy()
+        want = reference_bank_backward(bank, fp, upstream).copy()
         assert np.array_equal(got, want, equal_nan=True)
-        if reuse:  # every temporary came from the scratch
-            assert scratch.keys() == dirty.keys()
-            assert all(scratch[k] is dirty[k] for k in dirty)
+        assert fp.X_t is X
+        if reuse:  # every temporary came from the stale pass
+            assert fp.work is stale.work
+            assert fp.work.keys() == dirty.keys()
+            assert all(fp.work[k] is dirty[k] for k in dirty)
 
 
 class TestForwardOut:
@@ -395,16 +396,18 @@ class TestForwardOut:
         q = int(rng.integers(1, 4))
         bank = RuleBank(tie_prone_rules(rng, deep, n_rules, q, dyadic=False))
         stale = bank.forward(rng.normal(size=(n_rows, q)) * 3.0)
-        for buf in stale:
+        for buf in stale[:4]:  # the pass's four arrays
             if buf is not None:
                 buf.fill(np.nan)
         X = rng.normal(size=(n_rows, q))
         got, want = bank.forward(X, out=stale), bank.forward(X)
         assert (got.act1 is None) == (want.act1 is None) == (not deep)
-        for g, w, s in zip(got, want, stale):
+        for g, w, s in zip(got[:4], want[:4], stale[:4]):
             if w is not None:
                 assert g.tobytes() == w.tobytes()
                 assert np.shares_memory(g, s)
+        assert got.X_t is want.X_t is X
+        assert got.work is stale.work and want.work == {}
 
     @pytest.mark.parametrize("deep", [False, True])
     def test_pass_of_another_shape_is_rejected(self, deep):
@@ -438,9 +441,11 @@ class TestScoreChunks:
         assert got.tobytes() == np.concatenate(fresh).tobytes()
         assert [fp.scores.size for fp in passes] == [rows] * 3 + [5]
         first = passes[0]
-        for fp in passes[1:3]:
-            assert all(a is None or np.shares_memory(a, b) for a, b in zip(fp, first))
-        assert not any(a is not None and np.shares_memory(a, b) for a, b in zip(passes[3], first))
+        for fp in passes[1:3]:  # the pass's four arrays
+            assert all(a is None or np.shares_memory(a, b) for a, b in zip(fp[:4], first[:4]))
+        assert not any(
+            a is not None and np.shares_memory(a, b) for a, b in zip(passes[3][:4], first[:4])
+        )
 
 
 class TestConvexSupport:
