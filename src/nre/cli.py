@@ -339,7 +339,7 @@ def cmd_plot(args) -> int:
         raise DataError(f"plotting needs exactly 2 features, dataset has {dataset.n_features}")
 
     if args.rule_index is not None:
-        if not 0 <= args.rule_index < len(model.rules):
+        if args.rule_index >= len(model.rules):
             raise DataError(
                 f"rule index {args.rule_index} out of range (model has {len(model.rules)} rules)"
             )
@@ -428,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--grid-resolution", dest="grid_resolution", type=_int_in(1), default=200)
     p.add_argument("--bounds", type=_bounds, metavar="XMIN,XMAX,YMIN,YMAX")
-    p.add_argument("--rule-index", dest="rule_index", type=int)
-    p.add_argument("--at-iteration", dest="at_iteration", type=int)
+    p.add_argument("--rule-index", dest="rule_index", type=_int_in(0))
+    p.add_argument("--at-iteration", dest="at_iteration", type=_int_in(0))
     _add_data_options(p)
     p.set_defaults(func=cmd_plot)
 

@@ -302,9 +302,9 @@ def gen_madelon_like(
     MAX_INFORMATIVE; cluster std 0.1 per coordinate) with balanced random ±1 vertex labels. Redundant columns are
     random linear combinations (coefficients uniform on [-1, 1]) of the
     informative ones; distractor columns are independent standard normals.
-    Column order is shuffled by the seed. Returns the dataset together with a
-    per-column origin map of ("informative" | "redundant" | "distractor", k)
-    pairs for test use.
+    Column order is shuffled by the seed. A draw whose labels hold one class
+    is a DataError. Returns the dataset together with a per-column origin map
+    of ("informative" | "redundant" | "distractor", k) pairs for test use.
     """
     if not 1 <= informative <= MAX_INFORMATIVE:
         raise DataError(f"informative must be between 1 and {MAX_INFORMATIVE}, got {informative}")
@@ -321,6 +321,8 @@ def gen_madelon_like(
     which = rng.permutation(n_vertices)[np.arange(n) % n_vertices]
     x_inf = vertices[which] + rng.normal(0.0, 0.1, size=(n, informative))
     labels = vertex_labels[which]
+    if np.unique(labels).size < 2:
+        raise DataError(f"the {n} rows drawn hold one class; use more rows or another seed")
 
     blocks = [x_inf]
     origins = [("informative", k) for k in range(informative)]

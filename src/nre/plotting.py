@@ -15,6 +15,8 @@ POSITIVE_FILL = "#9ecbff"
 NEGATIVE_FILL = "#ffb3b3"
 POSITIVE_POINT = "#1f4e9e"
 NEGATIVE_POINT = "#c23b3b"
+BOUNDS_PAD = 0.25  # default bounds extend the data's span by this fraction on each side
+CANVAS_PX = 480
 
 
 def _checked(bounds) -> tuple[float, float, float, float]:
@@ -26,13 +28,13 @@ def _checked(bounds) -> tuple[float, float, float, float]:
     return bounds
 
 
-def data_bounds(features: np.ndarray, pad: float = 0.25) -> tuple[float, float, float, float]:
-    """The data's range padded by ``pad`` of its span each side; DataError past the float range."""
+def data_bounds(features: np.ndarray) -> tuple[float, float, float, float]:
+    """The data's range padded by BOUNDS_PAD of its span each side; DataError past float range."""
     x0, y0 = features.min(axis=0).tolist()  # Python floats overflow to inf without a warning
     x1, y1 = features.max(axis=0).tolist()
-    dx = (x1 - x0) or 1.0
-    dy = (y1 - y0) or 1.0
-    return _checked((x0 - pad * dx, x1 + pad * dx, y0 - pad * dy, y1 + pad * dy))
+    dx = BOUNDS_PAD * ((x1 - x0) or 1.0)
+    dy = BOUNDS_PAD * ((y1 - y0) or 1.0)
+    return _checked((x0 - dx, x1 + dx, y0 - dy, y1 + dy))
 
 
 def grid_points(bounds, resolution: int):
@@ -48,15 +50,16 @@ def render_decision_regions(
     score_fn,
     features: np.ndarray,
     labels: np.ndarray,
-    bounds=None,
-    resolution: int = 200,
-    size: int = 480,
+    bounds,
+    resolution: int,
 ) -> str:
-    """SVG of the score function's sign regions with the data points overlaid.
+    """CANVAS_PX-square SVG of the score function's sign regions with the data points overlaid.
 
-    ``score_fn`` maps an (N, 2) array to N scores. The output is a pure
-    function of the inputs, so repeated renders are byte-identical. Points
-    outside the bounds fall off the canvas and are not drawn.
+    ``score_fn`` maps an (N, 2) array to N scores, sampled at the centers of a
+    ``resolution`` x ``resolution`` grid over the bounds (``data_bounds(features)``
+    when None). The output is a pure function of the inputs, so repeated
+    renders are byte-identical. Points outside the bounds fall off the canvas
+    and are not drawn.
     """
     features = np.asarray(features, dtype=np.float64)
     bounds = data_bounds(features) if bounds is None else _checked(bounds)
@@ -65,16 +68,16 @@ def render_decision_regions(
     vals = np.asarray(score_fn(pts)).reshape(len(ys), len(xs))
 
     def sx(x):
-        return (x - xmin) / (xmax - xmin) * size
+        return (x - xmin) / (xmax - xmin) * CANVAS_PX
 
     def sy(y):
-        return size - (y - ymin) / (ymax - ymin) * size  # svg y grows downward
+        return CANVAS_PX - (y - ymin) / (ymax - ymin) * CANVAS_PX  # svg y grows downward
 
-    cell_w = size / resolution
+    cell_w = CANVAS_PX / resolution
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS_PX}" height="{CANVAS_PX}" '
+        f'viewBox="0 0 {CANVAS_PX} {CANVAS_PX}">',
+        f'<rect width="{CANVAS_PX}" height="{CANVAS_PX}" fill="white"/>',
     ]
     for i in range(len(ys)):
         for j in range(len(xs)):

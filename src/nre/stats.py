@@ -4,7 +4,8 @@ Rows pair the two classifiers' error percentages per dataset. Differences are
 ranked by absolute value with average ranks for ties; ranks of zero
 differences are split evenly between the positive and negative rank sums. The
 Wilcoxon statistic is T = min(R+, R-) and the sign test counts wins with ties
-distributed evenly (dropping one tie when their count is odd).
+distributed evenly (dropping one tie when their count is odd). Both tests
+use alpha = 0.05, the level of the published tables.
 """
 from __future__ import annotations
 
@@ -53,10 +54,8 @@ class ComparisonTable:
     """Per-dataset error pairs with derived differences and average ranks."""
 
     def __init__(self, rows):
-        self.rows = [
-            r if isinstance(r, ComparisonRow) else ComparisonRow(r[0], float(r[1]), float(r[2]))
-            for r in rows
-        ]
+        """``rows`` are (name, error_a, error_b) triples."""
+        self.rows = [ComparisonRow(name, float(a), float(b)) for name, a, b in rows]
         if not self.rows:
             raise DataError("comparison table needs at least one row")
 
@@ -82,9 +81,6 @@ class ComparisonTable:
             pos = end + 1
         return ranks
 
-    def swapped(self) -> "ComparisonTable":
-        return ComparisonTable([(r.name, r.error_b, r.error_a) for r in self.rows])
-
 
 @dataclass(frozen=True)
 class WilcoxonResult:
@@ -106,44 +102,21 @@ class SignTestResult:
     reject_null: bool
 
 
-def critical_values(n: int, alpha: float) -> tuple[float, int]:
-    """Embedded two-classifier critical values (Wilcoxon T, sign-test wins)."""
-    if alpha != SUPPORTED_ALPHA:
-        raise DataError(f"only alpha={SUPPORTED_ALPHA} is tabulated, got {alpha}")
+def critical_values(n: int) -> tuple[float, int]:
+    """Embedded alpha = 0.05 critical values (Wilcoxon T, sign-test wins) for n in 5..30."""
     if n not in _WILCOXON_CRITICAL:
         raise DataError(f"critical values tabulated for n in [5, 30], got {n}")
     return float(_WILCOXON_CRITICAL[n]), _SIGN_CRITICAL[n]
 
 
-def _drop_one_zero(table: ComparisonTable) -> ComparisonTable:
-    zero_names = sorted(r.name for r in table.rows if r.difference == 0.0)
-    drop = zero_names[0]
-    kept = []
-    dropped = False
-    for r in table.rows:
-        if not dropped and r.difference == 0.0 and r.name == drop:
-            dropped = True
-            continue
-        kept.append(r)
-    return ComparisonTable(kept)
-
-
-def wilcoxon_signed_rank(
-    table: ComparisonTable, critical_value: float | None = None, drop_odd_zero: bool = False
-) -> WilcoxonResult:
+def wilcoxon_signed_rank(table: ComparisonTable) -> WilcoxonResult:
     """Wilcoxon signed-rank test on paired error columns.
 
     R+ sums the ranks of rows where classifier b has the lower error, R- where
-    a does; ranks of zero differences split evenly between the two. With
-    ``drop_odd_zero`` an odd count of zero differences first drops the
-    zero row with the lexicographically smallest name. When ``critical_value``
-    is None it is looked up at alpha=0.05 for the table size (None when the
-    size is outside the embedded range, in which case the null is never
-    rejected).
+    a does; ranks of zero differences split evenly between the two. The
+    critical value is None, and the null never rejected, when the table size
+    is outside the embedded range.
     """
-    n_zero = sum(1 for d in table.differences() if d == 0.0)
-    if drop_odd_zero and n_zero % 2 == 1:
-        table = _drop_one_zero(table)
     diffs = table.differences()
     ranks = table.ranks()
     r_plus = sum(rk for d, rk in zip(diffs, ranks) if d > 0.0)
@@ -153,20 +126,17 @@ def wilcoxon_signed_rank(
     r_minus += zero_sum / 2
     t = min(r_plus, r_minus)
     n = len(table)
-    if critical_value is None:
-        try:
-            critical_value, _ = critical_values(n, SUPPORTED_ALPHA)
-        except DataError:
-            critical_value = None
+    critical_value = float(_WILCOXON_CRITICAL[n]) if n in _WILCOXON_CRITICAL else None
     reject = critical_value is not None and t <= critical_value
     return WilcoxonResult(r_plus, r_minus, t, n, critical_value, reject)
 
 
-def sign_test(table: ComparisonTable, critical_wins: int | None = None) -> SignTestResult:
+def sign_test(table: ComparisonTable) -> SignTestResult:
     """Win/loss/tie counts with ties split evenly (one dropped when odd).
 
     Classifier b wins a row when its error is lower (difference > 0). The null
-    is rejected when b's adjusted win count reaches the critical count.
+    is rejected when b's adjusted win count reaches the critical count, which
+    is None outside the embedded range.
     """
     diffs = table.differences()
     wins_b = sum(1 for d in diffs if d > 0.0)
@@ -174,11 +144,7 @@ def sign_test(table: ComparisonTable, critical_wins: int | None = None) -> SignT
     ties = sum(1 for d in diffs if d == 0.0)
     shared = (ties - ties % 2) // 2
     adjusted = wins_b + shared
-    if critical_wins is None:
-        try:
-            _, critical_wins = critical_values(len(table), SUPPORTED_ALPHA)
-        except DataError:
-            critical_wins = None
+    critical_wins = _SIGN_CRITICAL.get(len(table))
     reject = critical_wins is not None and adjusted >= critical_wins
     return SignTestResult(wins_a, wins_b, ties, float(adjusted), critical_wins, reject)
 
@@ -202,7 +168,7 @@ def read_comparison_csv(path: str) -> ComparisonTable:
         if len(row) < 3:
             raise DataError(f"row {i} needs 3 columns (dataset, error_a, error_b)")
         try:
-            rows.append(ComparisonRow(row[0].strip(), float(row[1]), float(row[2])))
+            rows.append((row[0].strip(), float(row[1]), float(row[2])))
         except ValueError:
             raise DataError(f"non-numeric error value in row {i}: {row[1:3]}") from None
     if not rows:
@@ -212,8 +178,8 @@ def read_comparison_csv(path: str) -> ComparisonTable:
 
 def format_comparison_report(
     table: ComparisonTable,
-    label_a: str = "A",
-    label_b: str = "B",
+    label_a: str,
+    label_b: str,
     wilcoxon: WilcoxonResult | None = None,
     sign: SignTestResult | None = None,
 ) -> str:

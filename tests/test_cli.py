@@ -2,6 +2,7 @@ import dataclasses
 import gzip
 import hashlib
 import json
+import os
 import re
 import xml.etree.ElementTree as ET
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import chain_dataset
-from golden_tables import GB_VS_NRE, RF_VS_NRE
+from golden_tables import ANN_VS_NRE, GB_VS_NRE, RF_VS_NRE
 from nre.cli import _write_dataset_csv, main
 from nre.data import StandardizationParams, gen_rotated_xor, load_table
 from nre.ensemble import (
@@ -27,6 +28,9 @@ from nre.plotting import grid_points
 from nre.tree import MAX_DEPTH, build_tree
 from nre.data import Dataset
 from reference_oracle import grid_convexity_check
+
+# "### <table> <compare flags>" headers, each followed by that run's exact stdout
+COMPARE_REPORTS = os.path.join(os.path.dirname(__file__), "fixtures", "compare_reports.txt")
 
 
 def run(capsys, *argv):
@@ -133,6 +137,18 @@ class TestGen:
         assert code == 1
         assert f"usage error: argument {argv[-2]}" in err
         assert not out.exists()
+
+    def test_one_class_madelon_draw_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        code, _, err = run(
+            capsys,
+            "gen", "madelon", "--n", "2",
+            "--informative", "5", "--redundant", "0", "--distractors", "0",
+            "--seed", "3", "--out", str(out),
+        )
+        assert code == 2
+        assert "hold one class" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTrain:
@@ -476,6 +492,19 @@ class TestCompare:
         code, _, err = run(capsys, "compare", "--results", str(p))
         assert code == 2
 
+    def test_golden_reports_match_fixture(self, tmp_path, capsys):
+        with open(COMPARE_REPORTS, encoding="utf-8") as fh:
+            _, *sections = re.split(r"^### (.*)\n", fh.read(), flags=re.M)
+        expected = dict(zip(sections[::2], sections[1::2]))
+        assert len(expected) == 9
+        tables = {"GB_VS_NRE": GB_VS_NRE, "RF_VS_NRE": RF_VS_NRE, "ANN_VS_NRE": ANN_VS_NRE}
+        for header, report in expected.items():
+            name, *flags = header.split()
+            path = self.write_csv(tmp_path, tables[name])
+            code, stdout, _ = run(capsys, "compare", "--results", path, *flags)
+            assert code == 0
+            assert stdout == report, header
+
 
 class TestPlot:
     @pytest.fixture
@@ -563,6 +592,8 @@ class TestPlot:
             ("--bounds", "0,0,0,1"),
             ("--grid-resolution", "0"),
             ("--grid-resolution", "-3"),
+            ("--rule-index", "-1"),
+            ("--at-iteration", "-1"),
         ],
     )
     def test_bad_plot_option_is_usage_error(self, tmp_path, small_xor_csv, trained, capsys,

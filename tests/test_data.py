@@ -533,6 +533,8 @@ BAD_GENERATOR_ARGS = {
     "madelon-17-informative": (gen_madelon_like, (40, 17, 1, 1, 0)),
     "madelon-negative-redundant": (gen_madelon_like, (40, 3, -3, 1, 0)),
     "madelon-negative-distractors": (gen_madelon_like, (40, 3, 1, -5, 0)),
+    "madelon-one-row": (gen_madelon_like, (1, 3, 1, 1, 0)),
+    "madelon-one-class-draw": (gen_madelon_like, (2, 5, 0, 0, 1)),
 }
 
 

@@ -1,8 +1,9 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and so
+is every private (``_name``) function, class or variable it defines at top level.
 
-``__init__.py`` is exempt because it re-exports what it imports: the names it
-imports are exactly ``nre.__all__``, and each resolves. ``from __future__``
-imports are directives, so they are exempt too.
+``__init__.py`` is exempt from the import check because it re-exports what it
+imports: the names it imports are exactly ``nre.__all__``, and each resolves.
+``from __future__`` imports are directives, so they are exempt too.
 """
 import ast
 import os
@@ -12,7 +13,8 @@ import pytest
 import nre
 
 PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "nre")
-MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py") and f != "__init__.py")
+SOURCES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
+MODULES = [f for f in SOURCES if f != "__init__.py"]
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -43,6 +45,39 @@ def test_unused_import_is_found():
 def test_no_unused_imports(module):
     with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def unused_private_names(source: str) -> list[str]:
+    """Top-level ``_name`` definitions that nothing in the module reads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                defined[name.id] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [
+        f"line {line}: {name}"
+        for name, line in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+def test_unused_private_name_is_found():
+    source = (
+        "_A = 1\n_B: int = 2\n__all__ = []\n"
+        "def _f(): return _A\ndef _g(): pass\nclass _C: pass\n_f()\n"
+    )
+    assert unused_private_names(source) == ["line 2: _B", "line 5: _g", "line 6: _C"]
+
+
+@pytest.mark.parametrize("module", SOURCES)
+def test_no_unused_private_names(module):
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        assert unused_private_names(fh.read()) == []
 
 
 def test_package_exports_exactly_what_it_imports():

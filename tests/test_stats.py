@@ -15,6 +15,11 @@ from nre.stats import (
 )
 
 
+def swapped(table: ComparisonTable) -> ComparisonTable:
+    """The table with the two classifiers' columns exchanged."""
+    return ComparisonTable([(r.name, r.error_b, r.error_a) for r in table.rows])
+
+
 class TestGoldenTables:
     def test_gb_wilcoxon(self):
         res = wilcoxon_signed_rank(ComparisonTable(GB_VS_NRE))
@@ -92,22 +97,8 @@ class TestRanking:
                 for i in range(n)
             ]
             t = ComparisonTable(rows)
-            res = wilcoxon_signed_rank(t, critical_value=0.0)
+            res = wilcoxon_signed_rank(t)
             assert res.r_plus + res.r_minus == pytest.approx(n * (n + 1) / 2)
-
-    def test_drop_odd_zero_reduces_rank_sum(self):
-        rows = [
-            ("b", 1.0, 1.0),
-            ("a", 1.0, 1.0),
-            ("e", 1.0, 1.0),
-            ("c", 2.0, 1.0),
-            ("d", 1.0, 3.0),
-        ]
-        res = wilcoxon_signed_rank(ComparisonTable(rows), critical_value=0.0, drop_odd_zero=False)
-        assert res.r_plus + res.r_minus == pytest.approx(15.0)  # 5*6/2
-        # odd zero count: the lexicographically smallest zero row ("a") drops
-        res = wilcoxon_signed_rank(ComparisonTable(rows), critical_value=0.0, drop_odd_zero=True)
-        assert res.r_plus + res.r_minus == pytest.approx(10.0)  # 4*5/2
 
 
 class TestProperties:
@@ -120,14 +111,14 @@ class TestProperties:
         rng = np.random.default_rng(1)
         for _ in range(25):
             t = self.random_table(rng, int(rng.integers(1, 20)))
-            s = t.swapped()
-            a = wilcoxon_signed_rank(t, critical_value=10.0)
-            b = wilcoxon_signed_rank(s, critical_value=10.0)
+            s = swapped(t)
+            a = wilcoxon_signed_rank(t)
+            b = wilcoxon_signed_rank(s)
             assert a.r_plus == pytest.approx(b.r_minus)
             assert a.r_minus == pytest.approx(b.r_plus)
             assert a.t_statistic == pytest.approx(b.t_statistic)
-            sa = sign_test(t, critical_wins=99)
-            sb = sign_test(s, critical_wins=99)
+            sa = sign_test(t)
+            sb = sign_test(s)
             assert (sa.wins_a, sa.wins_b) == (sb.wins_b, sb.wins_a)
             assert sa.ties == sb.ties
 
@@ -138,29 +129,25 @@ class TestProperties:
             warped = ComparisonTable(
                 [(r.name, np.exp(r.error_a / 3), np.exp(r.error_b / 3)) for r in t.rows]
             )
-            a = sign_test(t, critical_wins=99)
-            b = sign_test(warped, critical_wins=99)
+            a = sign_test(t)
+            b = sign_test(warped)
             assert (a.wins_a, a.wins_b, a.ties) == (b.wins_a, b.wins_b, b.ties)
 
 
 class TestCriticalValues:
     def test_published_pair_at_19(self):
-        assert critical_values(19, 0.05) == (46.0, 14)
+        assert critical_values(19) == (46.0, 14)
 
     def test_out_of_range(self):
         with pytest.raises(DataError):
-            critical_values(4, 0.05)
+            critical_values(4)
         with pytest.raises(DataError):
-            critical_values(31, 0.05)
-
-    def test_unsupported_alpha(self):
-        with pytest.raises(DataError):
-            critical_values(19, 0.01)
+            critical_values(31)
 
     def test_sign_criticals_match_binomial_oracle(self):
         # smallest w with P(X >= w) <= 0.05 for X ~ Binomial(n, 1/2)
         for n in range(5, 31):
-            _, w_table = critical_values(n, 0.05)
+            _, w_table = critical_values(n)
             tail = lambda w: sum(comb(n, k) for k in range(w, n + 1)) / 2**n
             assert tail(w_table) <= 0.05
             assert tail(w_table - 1) > 0.05
@@ -169,7 +156,7 @@ class TestCriticalValues:
         # largest t with 2 * P(R+ <= t) <= 0.05 over the exact null of signed
         # rank sums (subset sums of 1..n), or -1 when no such t exists
         for n in range(5, 31):
-            t_table, _ = critical_values(n, 0.05)
+            t_table, _ = critical_values(n)
             total = n * (n + 1) // 2
             counts = [0] * (total + 1)
             counts[0] = 1
@@ -197,7 +184,7 @@ class TestEdgeCases:
 
     def test_all_ties_even_count(self):
         t = ComparisonTable([(f"d{i}", 1.0, 1.0) for i in range(6)])
-        res = sign_test(t, critical_wins=14)
+        res = sign_test(t)
         assert res.wins_a == res.wins_b == 0
         assert res.adjusted_wins_b == 3.0
         assert not res.reject_null
