@@ -332,7 +332,10 @@ def nre_score_batch(m: NREModel, features: np.ndarray) -> np.ndarray:
     if not m.rules:
         return np.full(X.shape[0], m.constant_score)
     tf = list(m.tree_features)
-    return m.bank.scores((X[:, tf] - std.means[tf]) / std.stds[tf])
+    X_t = X[:, tf]  # a copy, standardized in place
+    X_t -= std.means[tf]
+    X_t /= std.stds[tf]
+    return m.bank.scores(X_t)
 
 
 def nre_predict(m: NREModel, x) -> int:

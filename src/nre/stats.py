@@ -10,6 +10,7 @@ use alpha = 0.05, the level of the published tables.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 from .errors import DataError
@@ -54,10 +55,19 @@ class ComparisonTable:
     """Per-dataset error pairs with derived differences and average ranks."""
 
     def __init__(self, rows):
-        """``rows`` are (name, error_a, error_b) triples."""
+        """``rows`` are (name, error_a, error_b) triples of finite errors.
+
+        A NaN or infinite error has no difference to rank or count, so it is
+        a DataError naming its dataset.
+        """
         self.rows = [ComparisonRow(name, float(a), float(b)) for name, a, b in rows]
         if not self.rows:
             raise DataError("comparison table needs at least one row")
+        for r in self.rows:
+            if not (math.isfinite(r.error_a) and math.isfinite(r.error_b)):
+                raise DataError(
+                    f"non-finite error value for dataset {r.name!r}: {r.error_a}, {r.error_b}"
+                )
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nre.data import Dataset
 from nre.ensemble import model_loss_and_grad
-from nre.neural import NeuralRule, RuleBank
+from nre.neural import SCORE_PASS_BYTES, NeuralRule, RuleBank
 from nre.tree import build_tree
 from reference_oracle import backward, forward
 
@@ -79,6 +79,13 @@ def make_random_rule(rng, deep, H=3, q=2, tree_features=(0, 2)):
         w2 = b2 = None
     c = float(rng.normal()) or 1.0
     return NeuralRule(tuple(tree_features), w1, b1, w2, b2, c)
+
+
+def score_pass_rows(bank):
+    """Rows of one ``RuleBank.scores`` pass: SCORE_PASS_BYTES over a row's float64s,
+    its (R, H) unit activations (twice for deep rules), R pooled minima and score."""
+    R, H = bank.B1.shape
+    return max(1, SCORE_PASS_BYTES // (8 * (R * H * (1 + bank.deep) + R + 1)))
 
 
 def rule_pass(n, X):

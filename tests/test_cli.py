@@ -492,6 +492,15 @@ class TestCompare:
         code, _, err = run(capsys, "compare", "--results", str(p))
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_error_is_data_error(self, tmp_path, capsys, value):
+        rows = [(f"d{i}", 1.0 + i, 2.0) for i in range(4)] + [("wilt", value, 1.0)]
+        path = self.write_csv(tmp_path, rows)
+        code, stdout, err = run(capsys, "compare", "--results", path)
+        assert code == 2
+        assert stdout == ""
+        assert "non-finite error value for dataset 'wilt'" in err
+
     def test_golden_reports_match_fixture(self, tmp_path, capsys):
         with open(COMPARE_REPORTS, encoding="utf-8") as fh:
             _, *sections = re.split(r"^### (.*)\n", fh.read(), flags=re.M)

@@ -6,6 +6,7 @@ import math
 import os
 import sys
 import tempfile
+import tracemalloc
 import warnings
 import weakref
 
@@ -21,6 +22,7 @@ from conftest import (
     make_random_rule,
     oracle_gradient,
     random_dataset,
+    score_pass_rows,
 )
 from nre.cli import _write_dataset_csv, main
 from nre.data import (
@@ -46,7 +48,7 @@ from nre.ensemble import (
     save_model,
 )
 from nre.errors import DataError, ModelFormatError
-from nre.neural import SCORE_CHUNK_CELLS, NeuralRule, RuleBank
+from nre.neural import SCORE_PASS_BYTES, NeuralRule, RuleBank
 from nre.tree import MAX_DEPTH, DecisionTree, TreeNode, build_tree
 from reference_oracle import forward, reference_sigmoid
 
@@ -269,7 +271,7 @@ class TestTrainPipeline:
         d = easy_dataset(np.random.default_rng(3), n=300)
         epochs = 7
         model = nre_train(d, TrainConfig(max_depth=3, epochs=epochs, batch_size=batch_size))
-        assert 300 <= SCORE_CHUNK_CELLS // model.bank.B1.size  # history scoring is one chunk
+        assert 300 <= score_pass_rows(model.bank)  # history scoring is one pass
         if batch_size is None:
             # the history pass of each epoch is the next step's forward pass
             assert rows == [300] * (epochs + 1)
@@ -511,7 +513,7 @@ class TestScoring:
         rng = np.random.default_rng(18)
         d = random_dataset(rng, 200, 3)
         model = nre_train(d, TrainConfig(max_depth=3, epochs=10, deep=True, seed=1))
-        n = 2 * SCORE_CHUNK_CELLS // model.bank.B1.size + 7  # spans three score chunks
+        n = 2 * score_pass_rows(model.bank) + 7  # spans three score chunks
         probes = rng.normal(0.0, 2.0, size=(n, 3))
         batch = nre_score_batch(model, probes)
         points = [nre_score(model, x) for x in probes]
@@ -534,6 +536,52 @@ class TestScoring:
         model = nre_train(easy_dataset(rng), TrainConfig(max_depth=1, epochs=1))
         with pytest.raises(DataError):
             nre_score(model, [1.0, 2.0, 3.0])
+
+
+def leaf_model(rules, p):
+    """A model of the given rules over p raw columns, standardized by the identity."""
+    std = StandardizationParams(np.zeros(p), np.ones(p))
+    return NREModel(std, rules, TrainConfig(deep=rules[0].deep), DecisionTree(TreeNode(1, 0), 1))
+
+
+class TestScorePasses:
+    def test_peak_memory_is_one_pass_plus_output_and_copy(self):
+        rng = np.random.default_rng(29)  # xor-fullbatch's shape: 8 deep rules of 4 units, q = 2
+        rules = [make_random_rule(rng, True, H=4, q=2, tree_features=(0, 1)) for _ in range(8)]
+        model = leaf_model(rules, 2)
+        X = rng.normal(size=(5 * score_pass_rows(model.bank) + 7, 2))  # five passes, a short one
+        want = nre_score_batch(model, X)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            got = nre_score_batch(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        # the output, the standardized tree-feature copy and one pass; then one
+        # ufunc buffer (the bias add broadcasts) and 16 KiB of small objects
+        slack = 8 * np.getbufsize() + (16 << 10)
+        assert peak <= got.nbytes + X.nbytes + SCORE_PASS_BYTES + slack
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), deep=st.booleans(), data=st.data())
+    def test_scores_equal_fresh_passes_and_points(self, seed, deep, data):
+        rng = np.random.default_rng(seed)
+        q = int(rng.integers(1, 4))
+        # ragged widths: 160 to 3971 rows a pass
+        widths = rng.integers(1, 9, size=int(rng.integers(16, 49)))
+        rules = [make_random_rule(rng, deep, H=int(h), q=q, tree_features=range(q)) for h in widths]
+        model = leaf_model(rules, q)
+        rows = score_pass_rows(model.bank)
+        edges = st.sampled_from([rows, rows + 1, 2 * rows, 3 * rows + 7])
+        X = rng.normal(0.0, 2.0, size=(data.draw(st.integers(1, 3 * rows + 7) | edges, "N"), q))
+        got = model.bank.scores(X)
+        fresh = [model.bank.forward(X[s : s + rows]).scores for s in range(0, X.shape[0], rows)]
+        assert got.tobytes() == np.concatenate(fresh).tobytes()
+        assert nre_score_batch(model, X).tobytes() == got.tobytes()
+        points = [nre_score(model, x) for x in X]
+        np.testing.assert_allclose(points, got, rtol=0, atol=1e-12)
 
 
 class TestEvaluate:

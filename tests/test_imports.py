@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module, and so
-is every private (``_name``) function, class or variable it defines at top level.
+is every private (``_name``) function, class or variable and every upper-case
+constant it defines at top level.
 
 ``__init__.py`` is exempt from the import check because it re-exports what it
 imports: the names it imports are exactly ``nre.__all__``, and each resolves.
@@ -47,22 +48,41 @@ def test_no_unused_imports(module):
         assert unused_imports(fh.read()) == []
 
 
-def unused_private_names(source: str) -> list[str]:
-    """Top-level ``_name`` definitions that nothing in the module reads."""
+def unread_top_level_names(source: str) -> list[tuple[str, int, bool]]:
+    """(name, line, assigned) of each top-level function, class or variable that
+    nothing in the module reads; ``assigned`` is False for functions and classes."""
     tree = ast.parse(source)
     defined = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            defined[node.name] = node.lineno
+            defined[node.name] = node.lineno, False
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for name in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
-                defined[name.id] = node.lineno
+                defined[name.id] = node.lineno, True
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [(name, line, kind) for name, (line, kind) in defined.items() if name not in read]
+
+
+def unused_private_names(source: str) -> list[str]:
+    """Top-level ``_name`` definitions that nothing in the module reads."""
     return [
         f"line {line}: {name}"
-        for name, line in defined.items()
-        if name.startswith("_") and not name.startswith("__") and name not in read
+        for name, line, _ in unread_top_level_names(source)
+        if name.startswith("_") and not name.startswith("__")
+    ]
+
+
+def unused_constants(source: str) -> list[str]:
+    """Top-level upper-case variables (``NAME = ...``) that their own module never reads.
+
+    A constant that only other modules or the tests read is a setting kept
+    alive for them: it belongs where it is read.
+    """
+    return [
+        f"line {line}: {name}"
+        for name, line, assigned in unread_top_level_names(source)
+        if assigned and name.isupper()
     ]
 
 
@@ -78,6 +98,20 @@ def test_unused_private_name_is_found():
 def test_no_unused_private_names(module):
     with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
         assert unused_private_names(fh.read()) == []
+
+
+def test_unused_constant_is_found():
+    source = (
+        "A = 1\nB: int = 2\nC, D = 3, 4\nlower = 5\n_E = 6\n__all__ = []\n"
+        "def F(): return A + D\nclass G: pass\n"
+    )
+    assert unused_constants(source) == ["line 2: B", "line 3: C", "line 5: _E"]
+
+
+@pytest.mark.parametrize("module", SOURCES)
+def test_no_unused_constants(module):
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        assert unused_constants(fh.read()) == []
 
 
 def test_package_exports_exactly_what_it_imports():

@@ -10,9 +10,10 @@ from conftest import (
     random_tree,
     rule_kink_distance,
     rule_pass,
+    score_pass_rows,
 )
 from nre.neural import (
-    SCORE_CHUNK_CELLS,
+    SCORE_PASS_BYTES,
     AdamState,
     NeuralRule,
     RuleBank,
@@ -424,9 +425,10 @@ class TestForwardOut:
 class TestScoreChunks:
     @pytest.mark.parametrize("deep", [False, True])
     def test_full_chunks_share_the_first_chunks_arrays(self, monkeypatch, deep):
+        """Every later chunk, the short last one too, is written into the first pass."""
         rng = np.random.default_rng(23)
         bank = RuleBank([make_random_rule(rng, deep, H=3, q=2) for _ in range(4)])
-        rows = SCORE_CHUNK_CELLS // bank.B1.size
+        rows = score_pass_rows(bank)
         X = rng.normal(size=(3 * rows + 5, 2))  # three full chunks and a short one
         passes, real_forward = [], RuleBank.forward
 
@@ -441,11 +443,10 @@ class TestScoreChunks:
         assert got.tobytes() == np.concatenate(fresh).tobytes()
         assert [fp.scores.size for fp in passes] == [rows] * 3 + [5]
         first = passes[0]
-        for fp in passes[1:3]:  # the pass's four arrays
+        row_bytes = sum(a.nbytes for a in first[:4] if a is not None) // rows
+        assert rows * row_bytes <= SCORE_PASS_BYTES < (rows + 1) * row_bytes
+        for fp in passes[1:]:  # the pass's four arrays
             assert all(a is None or np.shares_memory(a, b) for a, b in zip(fp[:4], first[:4]))
-        assert not any(
-            a is not None and np.shares_memory(a, b) for a, b in zip(passes[3][:4], first[:4])
-        )
 
 
 class TestConvexSupport:

@@ -189,6 +189,14 @@ class TestEdgeCases:
         assert res.adjusted_wins_b == 3.0
         assert not res.reject_null
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("column", [1, 2])
+    def test_non_finite_error_rejected(self, value, column):
+        rows = [[f"d{i}", 1.0 + i, 2.0] for i in range(5)]
+        rows[3][0], rows[3][column] = "wilt", value
+        with pytest.raises(DataError, match="non-finite error value for dataset 'wilt'"):
+            ComparisonTable(rows)
+
 
 class TestCsvAndReport:
     def test_read_csv_with_header(self, tmp_path):
