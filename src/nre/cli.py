@@ -23,6 +23,7 @@ from .data import (
     gen_madelon_like,
     gen_rotated_xor,
     load_table,
+    read_text,
     stratified_kfold,
 )
 from .ensemble import (
@@ -35,7 +36,7 @@ from .ensemble import (
     save_model,
 )
 from .errors import DataError, ModelFormatError, UsageError
-from .plotting import render_decision_regions
+from .plotting import checked_bounds, render_decision_regions
 from .stats import (
     format_comparison_report,
     read_comparison_csv,
@@ -53,10 +54,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_config_file(path: str) -> dict:
     """TrainConfig fields, cast to their types, and the fetch keys of a config file."""
-    if not os.path.exists(path):
-        raise DataError(f"config file not found: {path}")
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with read_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -100,38 +99,27 @@ def _epoch_set(text: str) -> frozenset[int]:
 
 
 def _bounds(text: str) -> tuple[float, ...]:
-    """--bounds: xmin,xmax,ymin,ymax with finite spans > 0 (a NaN or infinite bound has none)."""
-    b = tuple(float(s) for s in text.split(","))
-    if len(b) != 4 or not all(0.0 < span < np.inf for span in (b[1] - b[0], b[3] - b[2])):
+    """--bounds: xmin,xmax,ymin,ymax as plotting's ``checked_bounds`` accepts them."""
+    try:
+        return checked_bounds(tuple(map(float, text.split(","))))
+    except (ValueError, DataError):
         raise argparse.ArgumentTypeError(f"needs xmin,xmax,ymin,ymax, finite spans > 0: {text!r}")
-    return b
 
 
-def _int_in(lo: int, hi: int | None = None):
-    """The argparse type of an integer in lo..hi (hi=None: no upper bound)."""
+def _number(cast, lo=None, hi=None):
+    """The argparse type of a finite ``cast`` (int or float) value in lo..hi; None: unbounded."""
+    noun = "an integer" if cast is int else "a finite number"
+    span = "" if lo is None else f" >= {lo}" if hi is None else f" in {lo}..{hi}"
 
-    def bounded_int(text: str) -> int:
-        value = int(text)
-        if value < lo or hi is not None and value > hi:
-            span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
-            raise argparse.ArgumentTypeError(f"must be an integer {span}, got {text!r}")
+    def number(text: str):
+        value = cast(text)
+        in_range = (lo is None or lo <= value) and (hi is None or value <= hi)
+        if not (in_range and -np.inf < value < np.inf):  # an int is never refused as infinite
+            raise argparse.ArgumentTypeError(f"must be {noun}{span}, got {text!r}")
         return value
 
-    return bounded_int
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
-
-
-def _non_negative_float(text: str) -> float:
-    value = _finite_float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return value
+    number.__name__ = cast.__name__  # argparse's "invalid int value" names the cast
+    return number
 
 
 def _train_config(args) -> TrainConfig:
@@ -191,7 +179,7 @@ def cmd_gen(args) -> int:
     elif args.kind == "linear":
         dataset = gen_linear_separable(n, args.angle, args.margin, seed)
         meta.update(n=n, angle_deg=args.angle, margin=args.margin)
-    elif args.kind == "madelon":
+    else:
         dataset, origin_map = gen_madelon_like(
             n, args.informative, args.redundant, args.distractors, seed
         )
@@ -202,8 +190,6 @@ def cmd_gen(args) -> int:
             distractors=args.distractors,
             origin_map=[list(o) for o in origin_map],
         )
-    else:  # argparse choices make this unreachable
-        raise UsageError(f"unknown kind {args.kind!r}")
     _write_dataset_csv(dataset, args.out)
     meta.update(n_rows=dataset.n_samples, n_features=dataset.n_features)
     with open(args.out + ".meta.json", "w", encoding="utf-8") as fh:
@@ -245,10 +231,9 @@ def cmd_train(args) -> int:
             fh.write("epoch,loss,error\n")
             for epoch, loss, err in model.history:
                 fh.write(f"{epoch},{repr(loss)},{repr(err)}\n")
-    final_err = model.history[-1][2] if model.history else float("nan")
     print(
         f"trained {len(model.rules)} rules (deep={cfg.deep}) in {len(model.history) - 1} epochs; "
-        f"training error {100 * final_err:.2f}%"
+        f"training error {100 * model.history[-1][2]:.2f}%"
     )
     if model.degenerate:
         print("warning: tree degenerated to a single leaf; model is constant")
@@ -364,13 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic dataset CSV")
     p.add_argument("kind", choices=["xor", "linear", "madelon"])
-    p.add_argument("--n", type=_int_in(1))
-    p.add_argument("--angle", type=_finite_float, default=45.0)
-    p.add_argument("--noise-std", dest="noise_std", type=_non_negative_float, default=0.15)
-    p.add_argument("--margin", type=_non_negative_float, default=0.05)
-    p.add_argument("--informative", type=_int_in(1, MAX_INFORMATIVE), default=5)
-    p.add_argument("--redundant", type=_int_in(0), default=15)
-    p.add_argument("--distractors", type=_int_in(0), default=480)
+    p.add_argument("--n", type=_number(int, 1))
+    p.add_argument("--angle", type=_number(float), default=45.0)
+    p.add_argument("--noise-std", dest="noise_std", type=_number(float, 0), default=0.15)
+    p.add_argument("--margin", type=_number(float, 0), default=0.05)
+    p.add_argument("--informative", type=_number(int, 1, MAX_INFORMATIVE), default=5)
+    p.add_argument("--redundant", type=_number(int, 0), default=15)
+    p.add_argument("--distractors", type=_number(int, 0), default=480)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
@@ -407,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cv", help="stratified k-fold cross-validation")
     p.add_argument("--data", required=True)
-    p.add_argument("--k", type=_int_in(2), default=5)
+    p.add_argument("--k", type=_number(int, 2), default=5)
     p.add_argument("--grid", action="store_true",
                    help="sweep tree depth over {2,4,6,8,10} and report the best")
     p.add_argument("--out")
@@ -426,10 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--grid-resolution", dest="grid_resolution", type=_int_in(1), default=200)
+    p.add_argument("--grid-resolution", dest="grid_resolution", type=_number(int, 1), default=200)
     p.add_argument("--bounds", type=_bounds, metavar="XMIN,XMAX,YMIN,YMAX")
-    p.add_argument("--rule-index", dest="rule_index", type=_int_in(0))
-    p.add_argument("--at-iteration", dest="at_iteration", type=_int_in(0))
+    p.add_argument("--rule-index", dest="rule_index", type=_number(int, 0))
+    p.add_argument("--at-iteration", dest="at_iteration", type=_number(int, 0))
     _add_data_options(p)
     p.set_defaults(func=cmd_plot)
 

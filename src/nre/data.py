@@ -6,6 +6,7 @@ downstream (trees, rules, neural rules) assumes this representation.
 from __future__ import annotations
 
 import array
+import contextlib
 import csv
 import gzip
 import math
@@ -100,8 +101,24 @@ class FoldAssignment:
 
 def _open_text(path: str):
     if path.endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8", newline="")
-    return open(path, "r", encoding="utf-8", newline="")
+        return gzip.open(path, "rt", encoding="utf-8-sig", newline="")
+    return open(path, "r", encoding="utf-8-sig", newline="")
+
+
+@contextlib.contextmanager
+def read_text(path: str):
+    """``path`` open for reading as text, a ``.gz`` decompressed and a leading BOM dropped.
+
+    A missing file is a DataError "no such file"; an OSError, undecodable bytes, a refused
+    csv field or a truncated stream inside the block is a DataError "cannot read <path>".
+    """
+    if not os.path.exists(path):
+        raise DataError(f"no such file: {path}")
+    try:
+        with _open_text(path) as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError, csv.Error, EOFError, zlib.error) as e:
+        raise DataError(f"cannot read {path}: {e}") from None
 
 
 def _delimiter_for(path: str) -> str:
@@ -129,47 +146,39 @@ def load_table(path: str, label_column, positive_label=None) -> Dataset:
     ``positive_label`` is None the numerically (or lexicographically) larger
     raw value becomes +1.
 
-    The file is read in one pass that holds one row of text at a time: each
-    row's feature cells are converted with ``float()`` as it is read. A file
-    that cannot be decoded or decompressed, or a field the csv module refuses,
-    is a DataError naming the file.
+    The file is read through :func:`read_text` in one pass that holds one row
+    of text at a time: each row's feature cells are converted with ``float()``
+    as it is read.
     """
-    if not os.path.exists(path):
-        raise DataError(f"no such file: {path}")
     raw_labels = []
     cells = array.array("d")
     bad_row = None  # (row number, feature cells) of the first row float() rejects
-    try:
-        with _open_text(path) as fh:
-            rows = filter(None, csv.reader(fh, delimiter=_delimiter_for(path)))
-            header = next(rows, None)
-            if header is None:
-                raise DataError(f"empty file: {path}")
-            header = [h.strip() for h in header]
-            if isinstance(label_column, int):
-                label_idx = label_column
-                if not 0 <= label_idx < len(header):
-                    raise DataError(f"label column index {label_idx} out of range")
-            else:
+    with read_text(path) as fh:
+        rows = filter(None, csv.reader(fh, delimiter=_delimiter_for(path)))
+        header = next(rows, None)
+        if header is None:
+            raise DataError(f"empty file: {path}")
+        header = [h.strip() for h in header]
+        if isinstance(label_column, int):
+            label_idx = label_column
+            if not 0 <= label_idx < len(header):
+                raise DataError(f"label column index {label_idx} out of range")
+        else:
+            try:
+                label_idx = header.index(str(label_column))
+            except ValueError:
+                raise DataError(f"label column {label_column!r} not in header {header}") from None
+        for i, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                raise DataError(f"row {i} has {len(row)} cells, expected {len(header)}")
+            raw_labels.append(row.pop(label_idx).strip())
+            if bad_row is None:
                 try:
-                    label_idx = header.index(str(label_column))
+                    cells.extend(map(float, row))
                 except ValueError:
-                    raise DataError(
-                        f"label column {label_column!r} not in header {header}"
-                    ) from None
-            for i, row in enumerate(rows, start=2):
-                if len(row) != len(header):
-                    raise DataError(f"row {i} has {len(row)} cells, expected {len(header)}")
-                raw_labels.append(row.pop(label_idx).strip())
-                if bad_row is None:
-                    try:
-                        cells.extend(map(float, row))
-                    except ValueError:
-                        # a later ragged row or a third class outranks a bad
-                        # cell, so it is reported after those checks
-                        bad_row = i, row
-    except (UnicodeDecodeError, csv.Error, EOFError, gzip.BadGzipFile, zlib.error) as e:
-        raise DataError(f"cannot read {path}: {e}") from None
+                    # a later ragged row or a third class outranks a bad
+                    # cell, so it is reported after those checks
+                    bad_row = i, row
     if not raw_labels:
         raise DataError(f"no data rows in {path}")
 
@@ -364,8 +373,10 @@ def fetch_pmlb(name: str, cache_dir: str, base_url: str | None = None) -> Datase
     without touching the network. The table's ``target`` column becomes the
     label, with the larger raw value mapped to +1. The base URL can be
     overridden by the ``NRE_PMLB_BASE_URL`` environment variable or the
-    ``base_url`` argument.
+    ``base_url`` argument. A name that is not one path component is a DataError.
     """
+    if name in ("", ".", "..") or os.path.basename(name) != name:
+        raise DataError(f"dataset name {name!r} must be a single path component")
     if base_url is None:
         base_url = os.environ.get(PMLB_BASE_URL_ENV, DEFAULT_PMLB_BASE_URL)
     base_url = base_url.rstrip("/")

@@ -19,7 +19,7 @@ BOUNDS_PAD = 0.25  # default bounds extend the data's span by this fraction on e
 CANVAS_PX = 480
 
 
-def _checked(bounds) -> tuple[float, float, float, float]:
+def checked_bounds(bounds) -> tuple[float, float, float, float]:
     """The bounds, if every bound is finite and both spans are finite and > 0; else DataError."""
     xmin, xmax, ymin, ymax = bounds
     spans = (xmax - xmin, ymax - ymin)
@@ -34,7 +34,7 @@ def data_bounds(features: np.ndarray) -> tuple[float, float, float, float]:
     x1, y1 = features.max(axis=0).tolist()
     dx = BOUNDS_PAD * ((x1 - x0) or 1.0)
     dy = BOUNDS_PAD * ((y1 - y0) or 1.0)
-    return _checked((x0 - dx, x1 + dx, y0 - dy, y1 + dy))
+    return checked_bounds((x0 - dx, x1 + dx, y0 - dy, y1 + dy))
 
 
 def grid_points(bounds, resolution: int):
@@ -62,7 +62,7 @@ def render_decision_regions(
     and are not drawn.
     """
     features = np.asarray(features, dtype=np.float64)
-    bounds = data_bounds(features) if bounds is None else _checked(bounds)
+    bounds = data_bounds(features) if bounds is None else checked_bounds(bounds)
     xmin, xmax, ymin, ymax = bounds
     pts, xs, ys = grid_points(bounds, resolution)
     vals = np.asarray(score_fn(pts)).reshape(len(ys), len(xs))

@@ -13,6 +13,7 @@ import csv
 import math
 from dataclasses import dataclass
 
+from .data import read_text
 from .errors import DataError
 
 # Differences of percentages carry float subtraction noise (e.g. 0.62 - 0.20
@@ -161,11 +162,8 @@ def sign_test(table: ComparisonTable) -> SignTestResult:
 
 def read_comparison_csv(path: str) -> ComparisonTable:
     """CSV of (dataset, error_a, error_b) rows; a non-numeric first row is a header."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            raw = [row for row in csv.reader(fh) if row]
-    except OSError as e:
-        raise DataError(f"cannot read {path}: {e}") from e
+    with read_text(path) as fh:
+        raw = [row for row in csv.reader(fh) if row]
     if not raw:
         raise DataError(f"empty comparison file: {path}")
     start = 0
@@ -208,11 +206,9 @@ def format_comparison_report(
             f"{row.name:<{name_w}}{row.error_a:>10.2f}{row.error_b:>10.2f}"
             f"{row.difference:>12.2f}{rank:>7.1f}"
         )
-    wins_a = sum(1 for r in table.rows if r.difference < 0.0)
-    wins_b = sum(1 for r in table.rows if r.difference > 0.0)
-    ties = len(table) - wins_a - wins_b
-    lines.append(f"{'wins':<{name_w}}{wins_a:>10}{wins_b:>10}")
-    lines.append(f"{'ties':<{name_w}}{ties:>10}{ties:>10}")
+    counts = sign if sign is not None else sign_test(table)
+    lines.append(f"{'wins':<{name_w}}{counts.wins_a:>10}{counts.wins_b:>10}")
+    lines.append(f"{'ties':<{name_w}}{counts.ties:>10}{counts.ties:>10}")
     if wilcoxon is not None:
         verdict = "reject" if wilcoxon.reject_null else "fail to reject"
         crit = "n/a" if wilcoxon.critical_value is None else f"{wilcoxon.critical_value:g}"

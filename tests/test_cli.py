@@ -11,7 +11,7 @@ import pytest
 
 from conftest import chain_dataset
 from golden_tables import ANN_VS_NRE, GB_VS_NRE, RF_VS_NRE
-from nre.cli import _write_dataset_csv, main
+from nre.cli import _read_config_file, _write_dataset_csv, main
 from nre.data import StandardizationParams, gen_rotated_xor, load_table
 from nre.ensemble import (
     NREModel,
@@ -25,6 +25,7 @@ from nre.ensemble import (
 from nre.errors import ModelFormatError
 from nre.neural import NeuralRule
 from nre.plotting import grid_points
+from nre.stats import format_comparison_report, read_comparison_csv
 from nre.tree import MAX_DEPTH, build_tree
 from nre.data import Dataset
 from reference_oracle import grid_convexity_check
@@ -280,25 +281,75 @@ class TestTrain:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "name, payload",
+        "reader, name, payload",
         [
-            ("bad_utf8.csv", b"x0,label\n1,1\n\xff,-1\n"),
-            ("long_field.csv", b'x0,label\n"' + b"1" * 200_000 + b'",1\n2,-1\n'),
-            ("truncated.csv.gz", gzip.compress(b"x0,label\n" + b"1,1\n2,-1\n" * 500)[:-40]),
+            ("data", "bad_utf8.csv", b"x0,label\n1,1\n\xff,-1\n"),
+            ("data", "long_field.csv", b'x0,label\n"' + b"1" * 200_000 + b'",1\n2,-1\n'),
+            ("data", "truncated.csv.gz", gzip.compress(b"x0,label\n" + b"1,1\n2,-1\n" * 500)[:-40]),
+            ("data", "directory", None),
+            ("compare", "bad_utf8.csv", b"wilt,1,2\n\xff,3,4\n"),
+            ("compare", "long_field.csv", b'wilt,1,2\n"' + b"1" * 200_000 + b'",3,4\n'),
+            ("compare", "truncated.csv.gz", gzip.compress(b"wilt,1,2\n" * 500)[:-40]),
+            ("compare", "directory", None),
+            ("config", "bad_utf8.cfg", b"epochs = 2\n\xff = 1\n"),
+            ("config", "truncated.cfg.gz", gzip.compress(b"epochs = 2\n" * 500)[:-40]),
+            ("config", "directory", None),
         ],
-        ids=["bad_utf8", "long_field", "truncated_gz"],
+        ids=["bad_utf8", "long_field", "truncated_gz", "directory",
+             "compare_bad_utf8", "compare_long_field", "compare_truncated_gz", "compare_directory",
+             "config_bad_utf8", "config_truncated_gz", "config_directory"],
     )
-    def test_unreadable_data_file_is_data_error(self, tmp_path, capsys, name, payload):
-        data, model_path = tmp_path / name, tmp_path / "m.json"
-        data.write_bytes(payload)
-        code, _, err = run(capsys, "train", "--data", str(data), "--out", str(model_path))
+    def test_unreadable_data_file_is_data_error(self, tmp_path, small_xor_csv, capsys, reader,
+                                                name, payload):
+        path, model_path = tmp_path / name, tmp_path / "m.json"
+        if payload is None:
+            path.mkdir()
+        else:
+            path.write_bytes(payload)
+        argv = {
+            "data": ["train", "--data", str(path), "--out", str(model_path)],
+            "compare": ["compare", "--results", str(path)],
+            "config": ["train", "--data", small_xor_csv, "--out", str(model_path),
+                       "--config", str(path)],
+        }[reader]
+        code, stdout, err = run(capsys, *argv)
         assert code == 2
-        assert f"data error: cannot read {data}: " in err
+        assert f"data error: cannot read {path}: " in err
+        assert stdout == ""
         assert not model_path.exists()
 
     def test_missing_required_flag_is_usage_error(self, capsys):
         code, _, err = run(capsys, "train", "--data", "x.csv")
         assert code == 1
+
+
+def _dataset_contents(path):
+    d = load_table(path, label_column="label")
+    return d.features.tolist(), d.labels.tolist(), d.feature_names
+
+
+# What each text reader makes of a file: the dataset, the comparison report, the config
+READ = {
+    "data": _dataset_contents,
+    "compare": lambda path: format_comparison_report(read_comparison_csv(path), "A", "B"),
+    "config": _read_config_file,
+}
+TEXT = {
+    "data": b"x0,x1,label\n1,2,1\n3,4,-1\n",
+    "compare": b"m,1,2\nn,3,1\n",
+    "config": b"max_depth = 3\ndeep = true\n",
+}
+
+
+@pytest.mark.parametrize("suffix", ["", ".gz"])
+@pytest.mark.parametrize("reader", ["data", "compare", "config"])
+def test_leading_bom_is_dropped(tmp_path, reader, suffix):
+    """A file read with a UTF-8 byte-order mark reads as its copy without one; so does its .gz."""
+    plain, bom = tmp_path / ("plain" + suffix), tmp_path / ("bom" + suffix)
+    pack = gzip.compress if suffix else bytes
+    plain.write_bytes(pack(TEXT[reader]))
+    bom.write_bytes(pack(b"\xef\xbb\xbf" + TEXT[reader]))
+    assert READ[reader](str(bom)) == READ[reader](str(plain))
 
 
 # A value other than the default for each TrainConfig field, cheap to train with.
@@ -659,6 +710,18 @@ class TestFetchCommand:
         assert code == 0
         assert "N=4, p=2" in stdout
         assert out.exists()
+
+    @pytest.mark.parametrize("name", ["../escape", "a/escape", "..", "."])
+    def test_name_outside_the_cache_is_data_error(self, tmp_path, capsys, monkeypatch, name):
+        monkeypatch.setattr("urllib.request.urlopen", lambda *a, **k: pytest.fail("network used"))
+        cache = tmp_path / "cache"
+        (tmp_path / "escape.tsv").write_text("f\ttarget\n1\t0\n2\t1\n")
+        code, stdout, err = run(capsys, "fetch", name, "--cache-dir", str(cache),
+                                "--base-url", "http://127.0.0.1:1/x")
+        assert code == 2
+        assert f"dataset name {name!r} must be a single path component" in err
+        assert stdout == ""
+        assert not cache.exists()
 
     def test_cache_dir_env_var(self, tmp_path, capsys, local_http_dataset_server, monkeypatch):
         base_url, _ = local_http_dataset_server

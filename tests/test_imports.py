@@ -5,6 +5,9 @@ constant it defines at top level.
 ``__init__.py`` is exempt from the import check because it re-exports what it
 imports: the names it imports are exactly ``nre.__all__``, and each resolves.
 ``from __future__`` imports are directives, so they are exempt too.
+
+No module but ``data.py`` opens a file to read text: the others read through
+``nre.data.read_text``.
 """
 import ast
 import os
@@ -112,6 +115,46 @@ def test_unused_constant_is_found():
 def test_no_unused_constants(module):
     with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
         assert unused_constants(fh.read()) == []
+
+
+def text_reads(source: str) -> list[str]:
+    """Calls of ``open`` or ``gzip.open`` whose mode reads text.
+
+    The mode is the second positional argument or ``mode=``, by default ``"r"``
+    for ``open`` and ``"rb"`` for ``gzip.open``. It reads text when it holds no
+    ``b`` and an ``r`` or a ``+``; a mode that is not a string literal counts too.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func)
+        if name not in ("open", "gzip.open"):
+            continue
+        modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+        mode = modes[0] if modes else ast.Constant("r" if name == "open" else "rb")
+        if not isinstance(mode, ast.Constant) or "b" not in mode.value and (
+            "r" in mode.value or "+" in mode.value
+        ):
+            found.append((node.lineno, f"line {node.lineno}: {name}"))
+    return [text for _, text in sorted(found)]
+
+
+def test_text_read_is_found():
+    source = (
+        'open(p)\nopen(p, "w")\nopen(p, "rb")\nopen(p, mode="rt")\ngzip.open(p)\n'
+        'gzip.open(p, "rt")\nopen(p, "w+")\nopen(p, m)\nfh.open()\nos.open(p, 0)\n'
+    )
+    assert text_reads(source) == [
+        "line 1: open", "line 4: open", "line 6: gzip.open", "line 7: open", "line 8: open"
+    ]
+
+
+@pytest.mark.parametrize("module", [m for m in SOURCES if m != "data.py"])
+def test_text_is_read_only_in_data(module):
+    """Text input is read through ``nre.data.read_text``, which maps its faults to DataError."""
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        assert text_reads(fh.read()) == []
 
 
 def test_package_exports_exactly_what_it_imports():

@@ -2,6 +2,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from golden_tables import ANN_VS_NRE, GB_VS_NRE, RF_VS_NRE
 from nre.errors import DataError
@@ -233,3 +235,23 @@ class TestCsvAndReport:
         assert "fail to reject" in report
         # rows sorted by descending |difference|: wilt first
         assert lines[1].startswith("wilt")
+
+
+# Errors on a coarse grid of tenths, so that ties (and float noise in their
+# differences, as in 0.3 - 0.1 against 0.2) are common.
+GRID_ERRORS = st.integers(0, 30).map(lambda k: k / 10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(GRID_ERRORS, GRID_ERRORS), min_size=5, max_size=30))
+def test_report_footer_counts_are_the_sign_tests(pairs):
+    table = ComparisonTable([(f"d{i}", a, b) for i, (a, b) in enumerate(pairs)])
+    sign = sign_test(table)
+    footer = [f"wins {sign.wins_a} {sign.wins_b}", f"ties {sign.ties} {sign.ties}"]
+    for given_sign in (None, sign):
+        report = format_comparison_report(table, "A", "B", sign=given_sign)
+        lines = report.splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("wins"))
+        assert [" ".join(line.split()) for line in lines[at : at + 2]] == footer
+    n, wil = len(table), wilcoxon_signed_rank(table)
+    assert wil.r_plus + wil.r_minus == n * (n + 1) / 2
