@@ -16,7 +16,9 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .data import (
+    LINEAR_MIN_ROWS,
     MAX_INFORMATIVE,
+    XOR_MIN_ROWS,
     Dataset,
     fetch_pmlb,
     gen_linear_separable,
@@ -167,12 +169,19 @@ def _checkpoint_path(model_path: str, iteration: int) -> str:
     return f"{stem}.iter{iteration}{ext or '.json'}"
 
 
+# gen kind -> its default and its fewest rows; a one-class madelon draw is a data error
+_GEN_ROWS = {"xor": (4000, XOR_MIN_ROWS), "linear": (2000, LINEAR_MIN_ROWS), "madelon": (2600, 1)}
+
+
 def cmd_gen(args) -> int:
     seed = args.seed if args.seed is not None else 0
     if seed < 0:
         raise UsageError("--seed must be >= 0")
     meta = {"kind": args.kind, "seed": seed}
-    n = args.n if args.n is not None else {"xor": 4000, "linear": 2000, "madelon": 2600}[args.kind]
+    default, fewest = _GEN_ROWS[args.kind]
+    n = args.n if args.n is not None else default
+    if n < fewest:
+        raise UsageError(f"argument --n: must be an integer >= {fewest} for {args.kind}, got {n}")
     if args.kind == "xor":
         dataset = gen_rotated_xor(n, args.angle, args.noise_std, seed)
         meta.update(n=n, angle_deg=args.angle, noise_std=args.noise_std)

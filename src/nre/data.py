@@ -25,6 +25,10 @@ PMLB_BASE_URL_ENV = "NRE_PMLB_BASE_URL"
 
 # gen_madelon_like places 2**informative clusters; 16 gives 65536 of them.
 MAX_INFORMATIVE = 16
+# The fewest rows gen_rotated_xor (one per corner) and gen_linear_separable
+# (one per side of the line) accept.
+XOR_MIN_ROWS = 4
+LINEAR_MIN_ROWS = 2
 
 
 @dataclass
@@ -239,7 +243,8 @@ def stratified_kfold(d: Dataset, k: int, seed: int) -> FoldAssignment:
     if k < 2:
         raise DataError("need at least 2 folds")
     if k > d.n_samples:
-        raise DataError(f"cannot split {d.n_samples} samples into {k} folds")
+        # k can have any number of digits: name the bound, not k
+        raise DataError(f"cannot split {d.n_samples} samples into more than {d.n_samples} folds")
     rng = np.random.default_rng(seed)
     fold_index = np.empty(d.n_samples, dtype=np.int64)
     counter = 0
@@ -259,8 +264,8 @@ def gen_linear_separable(n: int, angle_deg: float, margin: float, seed: int) -> 
     Labels are the sign of the signed distance to the line and no point lies
     within ``margin`` of it.
     """
-    if n < 2:
-        raise DataError("need n >= 2")
+    if n < LINEAR_MIN_ROWS:
+        raise DataError(f"need n >= {LINEAR_MIN_ROWS}")
     if not 0 <= margin < math.inf:
         raise DataError(f"margin must be finite and >= 0, got {margin!r}")
     if not math.isfinite(angle_deg):
@@ -283,8 +288,8 @@ def gen_rotated_xor(n: int, angle_deg: float, noise_std: float, seed: int) -> Da
     Labels are +1 on the same-sign corners and -1 on the mixed-sign corners,
     assigned before the rotation is applied.
     """
-    if n < 4:
-        raise DataError("need n >= 4")
+    if n < XOR_MIN_ROWS:
+        raise DataError(f"need n >= {XOR_MIN_ROWS}")
     if not 0 <= noise_std < math.inf:
         raise DataError(f"noise_std must be finite and >= 0, got {noise_std!r}")
     if not math.isfinite(angle_deg):

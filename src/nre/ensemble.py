@@ -97,7 +97,9 @@ class NREModel:
 
     The model computes with a :class:`RuleBank` built from the given rules;
     ``rules`` then holds the bank's view rules, which always show its current
-    parameters.
+    parameters. The standardizer is fixed after construction: scoring reads
+    the means and stds of the tree features as gathered then, and a changed
+    standardizer takes a new model (``dataclasses.replace`` builds one).
     """
 
     standardization: StandardizationParams
@@ -106,10 +108,17 @@ class NREModel:
     source_tree: DecisionTree
     history: list[tuple[int, float, float]] = field(default_factory=list, repr=False)
     bank: RuleBank = field(init=False, repr=False, compare=False)
+    # the tree features as an index array, and their means and stds; not saved
+    _tf: np.ndarray = field(init=False, repr=False, compare=False)
+    _mu: np.ndarray = field(init=False, repr=False, compare=False)
+    _sd: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.bank = RuleBank(self.rules)
         self.rules = self.bank.rules
+        self._tf = np.array(self.bank.tree_features, dtype=np.intp)
+        self._mu = self.standardization.means[self._tf]
+        self._sd = self.standardization.stds[self._tf]
 
     @property
     def degenerate(self) -> bool:
@@ -310,11 +319,22 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
 
 
 def nre_score(m: NREModel, x) -> float:
-    """Ensemble score of one raw point: the batch score of that one row."""
+    """Ensemble score of one raw point: one bank pass over one row.
+
+    The score has the bits of ``nre_score_batch`` on that one row. A point
+    holding a NaN or an infinity, in any column, is rejected with DataError.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != m.standardization.means.shape:
         raise DataError(f"point has shape {x.shape}, model expects {m.standardization.means.shape}")
-    return float(nre_score_batch(m, x[None, :])[0])
+    if not np.isfinite(x).all():
+        raise DataError("row 0 has a non-finite value")
+    if not m.rules:
+        return m.constant_score
+    z = x.take(m._tf)  # a copy, standardized in place
+    z -= m._mu
+    z /= m._sd
+    return float(m.bank.forward(z[None, :]).scores[0])
 
 
 def nre_score_batch(m: NREModel, features: np.ndarray) -> np.ndarray:
@@ -331,10 +351,11 @@ def nre_score_batch(m: NREModel, features: np.ndarray) -> np.ndarray:
         raise DataError(f"row {np.flatnonzero(~finite)[0]} has a non-finite value")
     if not m.rules:
         return np.full(X.shape[0], m.constant_score)
-    tf = list(m.tree_features)
-    X_t = X[:, tf]  # a copy, standardized in place
-    X_t -= std.means[tf]
-    X_t /= std.stds[tf]
+    # a copy, standardized in place. Not X.take(m._tf, axis=1): on 20000 x 2
+    # it took 200 us against 17 us (2-vCPU Xeon) and gives a C-ordered copy
+    X_t = X[:, m._tf]
+    X_t -= m._mu
+    X_t /= m._sd
     return m.bank.scores(X_t)
 
 

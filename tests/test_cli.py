@@ -115,7 +115,9 @@ class TestGen:
         "argv",
         [
             ("xor", "--n", "0"),
+            ("xor", "--n", "3"),
             ("linear", "--n", "0"),
+            ("linear", "--n", "1"),
             ("madelon", "--n", "-1"),
             ("madelon", "--n", "20", "--informative", "0"),
             ("madelon", "--n", "20", "--informative", "17"),
@@ -138,6 +140,14 @@ class TestGen:
         assert code == 1
         assert f"usage error: argument {argv[-2]}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind, fewest", [("xor", 4), ("linear", 2)])
+    def test_too_few_rows_names_the_minimum(self, tmp_path, capsys, kind, fewest):
+        out = tmp_path / "d.csv"
+        code, _, err = run(capsys, "gen", kind, "--n", str(fewest - 1), "--out", str(out))
+        assert code == 1
+        assert f"must be an integer >= {fewest} for {kind}, got {fewest - 1}" in err
+        assert run(capsys, "gen", kind, "--n", str(fewest), "--out", str(out))[0] == 0
 
     def test_one_class_madelon_draw_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
@@ -493,6 +503,12 @@ class TestCv:
         code, _, err = run(capsys, "cv", "--data", small_xor_csv, "--k", "100000")
         assert code == 2
         assert "folds" in err
+
+    def test_huge_fold_count_is_not_echoed(self, small_xor_csv, capsys):
+        code, _, err = run(capsys, "cv", "--data", small_xor_csv, "--k", "9" * 400)
+        assert code == 2
+        assert "cannot split 200 samples into more than 200 folds" in err
+        assert all(len(line) < 200 for line in err.splitlines())
 
     def test_grid_sweeps_depths(self, small_xor_csv, capsys):
         code, stdout, _ = run(

@@ -9,6 +9,7 @@ import tempfile
 import tracemalloc
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -278,6 +279,24 @@ class TestTrainPipeline:
         else:
             # one pass per step, then the history pass of the epoch
             assert rows == [300] + epochs * ([64] * 4 + [44] + [300])
+
+    def test_default_batch_switches_above_the_full_batch_limit(self, monkeypatch):
+        """batch_size=None: one step per epoch up to FULL_BATCH_LIMIT rows, 256 a step above."""
+        steps = []
+
+        def counted(bank, fp, labels, l2=0.0):
+            steps.append(labels.size)
+            return model_loss_and_grad(bank, fp, labels, l2=l2)
+
+        limit, epochs = 300, 3  # above 256, so a minibatch epoch takes two steps
+        monkeypatch.setattr("nre.ensemble.FULL_BATCH_LIMIT", limit)
+        monkeypatch.setattr("nre.ensemble.model_loss_and_grad", counted)
+        rng = np.random.default_rng(31)
+        # limit rows: one full batch; limit + 1 rows: ceil(301 / 256) = 2 steps
+        for n, per_epoch in [(limit, [limit]), (limit + 1, [256, limit + 1 - 256])]:
+            steps.clear()
+            nre_train(easy_dataset(rng, n=n), TrainConfig(max_depth=2, epochs=epochs))
+            assert steps == epochs * per_epoch
 
     @pytest.mark.parametrize("deep", [False, True])
     def test_full_batch_step_runs_on_its_history_pass_rows(self, monkeypatch, deep):
@@ -582,6 +601,75 @@ class TestScorePasses:
         assert nre_score_batch(model, X).tobytes() == got.tobytes()
         points = [nre_score(model, x) for x in X]
         np.testing.assert_allclose(points, got, rtol=0, atol=1e-12)
+
+
+class TestPointScore:
+    """nre_score's one-row path: one bank pass with the bits of a one-row batch."""
+
+    @staticmethod
+    def assert_points_are_one_row_batches(model, X):
+        for x in X:
+            want = nre_score_batch(model, x[None, :])[0]
+            assert np.float64(nre_score(model, x)).tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), deep=st.booleans())
+    def test_random_banks(self, seed, deep):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(1, 7))
+        q = int(rng.integers(1, p + 1))
+        tf = tuple(sorted(int(f) for f in rng.choice(p, size=q, replace=False)))
+        widths = rng.integers(1, 9, size=int(rng.integers(1, 17)))  # ragged
+        rules = [make_random_rule(rng, deep, H=int(h), q=q, tree_features=tf) for h in widths]
+        std = StandardizationParams(rng.normal(size=p), rng.uniform(0.1, 3.0, size=p))
+        model = replace(leaf_model(rules, p), standardization=std)
+        self.assert_points_are_one_row_batches(model, rng.normal(0.0, 2.0, size=(12, p)))
+
+    def test_trained_model(self):
+        rng = np.random.default_rng(33)
+        d = random_dataset(rng, 300, 5)
+        d = Dataset(d.features * 3.0 + 1.0, d.labels, d.feature_names)  # a real standardizer
+        model = nre_train(d, TrainConfig(max_depth=3, epochs=10, deep=True, seed=4))
+        self.assert_points_are_one_row_batches(model, rng.normal(1.0, 4.0, size=(200, 5)))
+
+    @pytest.mark.parametrize("column, value", [(1, np.nan), (3, np.inf), (3, -np.inf)])
+    def test_non_finite_value_outside_the_tree_features(self, column, value):
+        rng = np.random.default_rng(34)
+        model = leaf_model([make_random_rule(rng, False)], 4)  # tree features 0 and 2
+        x = rng.normal(size=4)
+        x[column] = value
+        with pytest.raises(DataError, match="row 0 has a non-finite value"):
+            nre_score(model, x)
+
+    def test_rule_less_model_scores_its_constant(self):
+        std = StandardizationParams(np.zeros(3), np.ones(3))
+        model = NREModel(std, [], TrainConfig(), DecisionTree(TreeNode(3, 1), 1))
+        assert model.constant_score == 0.5
+        assert nre_score(model, [1.0, -2.0, 3.0]) == 0.5
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (1, 4), ()])
+    def test_wrong_shape_is_data_error(self, shape):
+        model = leaf_model([make_random_rule(np.random.default_rng(35), True)], 4)
+        with pytest.raises(DataError, match="point has shape"):
+            nre_score(model, np.zeros(shape))
+
+    def test_one_forward_and_no_scores_call(self, monkeypatch):
+        calls = []
+        real_forward, real_scores = RuleBank.forward, RuleBank.scores
+
+        def forward(bank, X_t, out=None):
+            calls.append(("forward", X_t.shape))
+            return real_forward(bank, X_t, out=out)
+
+        def scores(bank, X_t):
+            calls.append(("scores", X_t.shape))
+            return real_scores(bank, X_t)
+
+        model = leaf_model([make_random_rule(np.random.default_rng(36), True)], 4)
+        monkeypatch.setattr(RuleBank, "forward", forward)
+        monkeypatch.setattr(RuleBank, "scores", scores)
+        nre_score(model, np.ones(4))
+        assert calls == [("forward", (1, 2))]
 
 
 class TestEvaluate:
