@@ -227,6 +227,9 @@ def cmd_fetch(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _train_config(args)
+    last = max(args.checkpoint_at, default=0)
+    if last > cfg.epochs:
+        raise UsageError(f"--checkpoint-at {last} is past the last epoch, {cfg.epochs}")
     dataset = _load_dataset(args)
 
     def trace(stage, payload):

@@ -181,15 +181,16 @@ def _loss_and_error(scores, labels):
     return float(loss), float(np.mean(np.where(scores >= 0.0, 1, -1) != labels))
 
 
-def _epoch_history(bank, X_train, y_train, order=None, out=None):
+def _epoch_history(bank, X_train, y_train, order, work):
     """The training loss and error, and with full batches the next step's pass.
 
     Given the next epoch's ``order``, one forward pass over X_train in that
-    order, into ``out``, serves both; without one, ``bank.scores`` scores X_train.
+    order serves both; without one, ``bank.scores`` scores X_train. Either
+    draws its arrays from the ``work`` pool.
     """
     if order is None:
-        return None, _loss_and_error(bank.scores(X_train), y_train)
-    fp = bank.forward(X_train.take(order, axis=0), out=out)
+        return None, _loss_and_error(bank.scores(X_train, work), y_train)
+    fp = bank.forward(X_train.take(order, axis=0), work)
     scores = np.empty_like(fp.scores)
     scores[order] = fp.scores
     return fp, _loss_and_error(scores, y_train)
@@ -209,12 +210,11 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
     Both batch modes run one epoch loop. An epoch steps through the training
     rows in batch-sized slices of a permutation drawn at the end of the
     previous epoch (epoch 1's before the epoch-0 row); a full batch is one
-    step, and a full-batch step runs on the history pass's rows. The step's
-    large arrays (the forward pass with its backward temporaries) are made
-    once and overwritten by the later steps of the same size: once per run
-    with full batches, once per epoch and batch size with minibatches. So the
-    epoch loop does not hand them back to the allocator and fault them in
-    again.
+    step, and a full-batch step runs on the history pass's rows. Every step
+    and history pass of the run draws its arrays from one ``work`` pool (see
+    ``RuleBank.forward``), so the epoch loop does not allocate and fault them
+    in again; validation scoring keeps its own, since it would overwrite the
+    history pass that the next full-batch step runs on.
 
     A non-finite training loss after an epoch raises FloatingPointError naming
     that epoch. Early stopping restores the parameters of the epoch with the
@@ -260,8 +260,6 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
         n_val = max(1, int(round(0.10 * N)))
         perm = rng.permutation(N)
         val_idx, train_idx = perm[:n_val], perm[n_val:]
-        if train_idx.size == 0:
-            raise DataError("dataset too small for a validation split")
     else:
         val_idx, train_idx = None, np.arange(N)
     n_train = train_idx.size
@@ -274,8 +272,9 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
         X_val, y_val = X_t[val_idx], y[val_idx]
     full = batch == n_train  # one step per epoch, on the pass of the history row before it
 
+    work = {}  # the run's one buffer pool
     order = rng.permutation(n_train)
-    fp, (loss, err) = _epoch_history(bank, X_train, y_train, order if full else None)
+    fp, (loss, err) = _epoch_history(bank, X_train, y_train, order if full else None, work)
     model.history = [(0, loss, err)]
     emit("train_epoch", {"epoch": 0, "loss": loss, "error": err, "model": model})
 
@@ -283,19 +282,12 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
     for epoch in range(1, cfg.epochs + 1):
         for start in range(0, n_train, batch):
             idx = order[start : start + batch]
-            if not full:
-                # The pass fp holds the step buffers. It is dropped for a short last
-                # batch and before the history pass, so only one set is alive.
-                if fp is not None and fp.scores.size != idx.size:
-                    fp = None
-                # take is several times faster than X_train[idx]
-                fp = bank.forward(X_train.take(idx, axis=0), out=fp)
+            if not full:  # take is several times faster than X_train[idx]
+                fp = bank.forward(X_train.take(idx, axis=0), work)
             _, grad = model_loss_and_grad(bank, fp, y_train[idx], l2=cfg.l2)
             adam_step(bank.params, grad, state)
-        if not full:
-            fp = None
         order = rng.permutation(n_train)
-        fp, (loss, err) = _epoch_history(bank, X_train, y_train, order if full else None, fp)
+        fp, (loss, err) = _epoch_history(bank, X_train, y_train, order if full else None, work)
         if not np.isfinite(loss):
             raise FloatingPointError(f"training diverged at epoch {epoch}: loss {loss}")
         model.history.append((epoch, loss, err))

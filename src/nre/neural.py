@@ -126,7 +126,7 @@ class BankPass(NamedTuple):
     final: np.ndarray  # (R, H, N) last-layer activations, +inf at padded units
     act1: np.ndarray | None  # (R, H, N) first-layer activations of deep rules
     X_t: np.ndarray  # (N, q) the rows the pass ran on
-    work: dict  # backward's temporaries by name; empty until the first backward
+    work: dict | None  # the pool the arrays came from, for backward's temporaries too
 
 
 class RuleBank:
@@ -181,30 +181,32 @@ class RuleBank:
             view.w1[...], view.b1[...], view.c[...] = r.w1, r.b1, r.c
             self.rules.append(view)
 
-    def forward(self, X_t: np.ndarray, out: BankPass | None = None) -> BankPass:
+    def forward(self, X_t: np.ndarray, work: dict | None = None) -> BankPass:
         """Every rule on every row of X_t, the (N, q) tree-feature columns.
 
-        ``out``, an earlier pass of this bank over N rows, receives the new
-        pass in its own arrays instead of new ones and hands it its backward
-        temporaries; a pass over another number of rows is a ValueError.
+        With a ``work`` pool the pass's arrays are the starts of its buffers
+        (see ``_temp``), which the pass then hands its backward; a pass drawn
+        from a pool is overwritten by the next one drawn from it. Without
+        one, numpy allocates.
         """
-        if out is None:
-            out = _NO_PASS
-        elif out.final.shape != self.B1.shape + (X_t.shape[0],):
-            raise ValueError(f"out holds a pass of shape {out.final.shape}, "
-                             f"not {self.B1.shape + (X_t.shape[0],)}")
-        act1 = np.matmul(self.W1, X_t.T, out=out.act1 if self.deep else out.final)
+        act1_out = final_out = pooled_out = scores_out = None  # numpy allocates
+        if work is not None:
+            cells = self.B1.shape + (X_t.shape[0],)
+            final_out = _temp(work, "final", cells)
+            act1_out = _temp(work, "act1", cells) if self.deep else final_out
+            pooled_out = _temp(work, "pooled", cells[::2])
+            scores_out = _temp(work, "scores", cells[2:])
+        act1 = np.matmul(self.W1, X_t.T, out=act1_out)
         act1 += self.B1[:, :, None]
         np.maximum(act1, 0.0, out=act1)
         final = act1
         if self.deep:
-            final = np.matmul(self.W2, act1, out=out.final)
+            final = np.matmul(self.W2, act1, out=final_out)
             final += self.B2[:, :, None]
             np.maximum(final, 0.0, out=final)
         final[self._pad] = np.inf
-        pooled = final.min(axis=1, out=out.pooled)
-        scores = np.matmul(self.c, pooled, out=out.scores)
-        work = {} if out is _NO_PASS else out.work
+        pooled = final.min(axis=1, out=pooled_out)
+        scores = np.matmul(self.c, pooled, out=scores_out)
         return BankPass(scores, pooled, final, act1 if self.deep else None, X_t, work)
 
     def backward(self, fp: BankPass, upstream: np.ndarray) -> np.ndarray:
@@ -213,10 +215,10 @@ class RuleBank:
         Writes into and returns ``grad``. Outside a rule's support its
         gradient is exactly zero; inside, only the pooled unit carries
         gradient, and in deep rules it fans out to the first-layer units with
-        positive activation. The temporaries live in ``fp.work``: made by the
-        first call on a pass, overwritten by every later one.
+        positive activation. The temporaries come from the pass's pool, a
+        fresh one for a pass without.
         """
-        cells, rows, work = fp.final.shape, fp.pooled.shape, fp.work
+        cells, rows, work = fp.final.shape, fp.pooled.shape, {} if fp.work is None else fp.work
         np.matmul(fp.pooled, upstream, out=self._gc)
         inside = np.greater(fp.pooled, 0.0, out=_temp(work, "inside", rows, bool))
         g = _temp(work, "g", rows)  # upstream * c on support rows, +0.0 elsewhere
@@ -243,50 +245,33 @@ class RuleBank:
         G.sum(axis=2, out=self._gB1)
         return self.grad
 
-    def scores(self, X_t: np.ndarray) -> np.ndarray:
+    def scores(self, X_t: np.ndarray, work: dict | None = None) -> np.ndarray:
         """Summed rule outputs of each row of X_t, in passes of at most SCORE_PASS_BYTES.
 
-        The first chunk's pass is the only one allocated: every later chunk is
-        written into its arrays, a short last chunk into the start of them.
-        No pass outlives the call.
+        Every chunk's pass is drawn from ``work``, a fresh pool for the call
+        when None, so a call allocates at most one pass.
         """
+        work = {} if work is None else work
         out = np.empty(X_t.shape[0])
         R, H = self.B1.shape
         rows = max(1, SCORE_PASS_BYTES // (8 * (R * H * (1 + self.deep) + R + 1)))
-        fp = None
         for start in range(0, X_t.shape[0], rows):
-            chunk = X_t[start : start + rows]
-            if fp is not None and chunk.shape[0] != rows:
-                fp = BankPass(*(_head(a, chunk.shape[0]) for a in fp[:4]), None, fp.work)
-            fp = self.forward(chunk, out=fp)
-            out[start : start + rows] = fp.scores
+            out[start : start + rows] = self.forward(X_t[start : start + rows], work).scores
         return out
 
 
-# forward's ``out`` when there is none: a named constant, since building a
-# BankPass costs more than half a microsecond, a few percent of one row's score
-_NO_PASS = BankPass(None, None, None, None, None, None)
-
-
-def _head(a: np.ndarray | None, n: int) -> np.ndarray | None:
-    """The start of a's buffer as an array like a with n in its last axis.
-
-    It is contiguous, like a fresh pass of n rows, so it scores each row to
-    the same bits: a strided view of the leading columns scored a 1-row chunk
-    in other last bits.
-    """
-    if a is None:
-        return None
-    shape = a.shape[:-1] + (n,)
-    return a.reshape(-1)[: math.prod(shape)].reshape(shape)
-
-
 def _temp(work: dict, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-    """The array ``work[name]``, made on first use."""
+    """The contiguous start of the buffer ``work[name]`` as an array of ``shape``.
+
+    The buffer is replaced only when it is too small. A contiguous start, like
+    a fresh array, computes each row to the same bits: a strided view of the
+    leading columns scored a 1-row chunk in other last bits.
+    """
+    n = math.prod(shape)
     buf = work.get(name)
-    if buf is None:
-        buf = work[name] = np.empty(shape, dtype)
-    return buf
+    if buf is None or buf.size < n:
+        buf = work[name] = np.empty(n, dtype)
+    return buf[:n].reshape(shape)
 
 
 def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:

@@ -250,8 +250,6 @@ def build_tree(d: Dataset, max_depth: int, min_leaf: int = 1) -> DecisionTree:
     if min_leaf < 1:
         raise DataError("min_leaf must be >= 1")
     X, y = d.features, d.labels
-    if X.shape[0] == 0:
-        raise DataError("cannot build a tree from an empty dataset")
     XT = np.ascontiguousarray(X.T, dtype=np.float64)
     pos = y == 1
     order = np.argsort(XT, axis=1)  # row f: all rows in ascending order of feature f

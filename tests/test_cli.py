@@ -213,6 +213,15 @@ class TestTrain:
         assert "--checkpoint-at" in err
         assert list(tmp_path.glob("m*.json")) == []
 
+    def test_checkpoint_past_the_last_epoch_is_a_usage_error(self, tmp_path, capsys):
+        """Exit 1 before any data is read: the data file does not exist."""
+        model_path = tmp_path / "m.json"
+        code, _, err = run(capsys, "train", "--data", str(tmp_path / "missing.csv"),
+                           "--out", str(model_path), "--epochs", "3", "--checkpoint-at", "0,5")
+        assert code == 1
+        assert "--checkpoint-at 5 is past the last epoch, 3" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_file_and_flag_precedence(self, tmp_path, small_xor_csv, capsys):
         cfg = tmp_path / "nre.cfg"
         cfg.write_text("# defaults for this experiment\nepochs = 5\nmax_depth = 2\n")

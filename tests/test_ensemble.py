@@ -264,9 +264,9 @@ class TestTrainPipeline:
         rows = []
         real_forward = RuleBank.forward
 
-        def counted(bank, X_t, out=None):
+        def counted(bank, X_t, work=None):
             rows.append(X_t.shape[0])
-            return real_forward(bank, X_t, out=out)
+            return real_forward(bank, X_t, work)
 
         monkeypatch.setattr(RuleBank, "forward", counted)
         d = easy_dataset(np.random.default_rng(3), n=300)
@@ -304,9 +304,9 @@ class TestTrainPipeline:
         gathered, stepped = [], []
         real_forward, real_backward = RuleBank.forward, RuleBank.backward
 
-        def forward(bank, X_t, out=None):
+        def forward(bank, X_t, work=None):
             gathered.append(X_t)
-            return real_forward(bank, X_t, out=out)
+            return real_forward(bank, X_t, work)
 
         def backward(bank, fp, upstream):
             stepped.append(fp.X_t)
@@ -323,57 +323,42 @@ class TestTrainPipeline:
     @pytest.mark.parametrize("deep", [False, True])
     @pytest.mark.parametrize("batch_size", [None, 64])
     def test_steps_reuse_one_set_of_buffers(self, monkeypatch, batch_size, deep):
-        """Full batch: every pass of the run is written into the first one.
-        Minibatch: every step of an epoch into the first step of its size, and
-        no step's buffers are alive at another size's step or a history pass.
-        A step's backward temporaries are those of its first pass's ``work``,
-        and they die with that pass."""
-        epoch, firsts, shared, alive, refs, works, alive_work = [0], {}, [], [], [], {}, []
+        """Every step and history pass of a run draws its arrays from one pool,
+        and so does each step's backward; validation scoring keeps its own
+        buffers. No buffer outlives the run."""
+        train, val, held = [], [], []  # the pool of every training and validation pass
         real_forward, real_backward = RuleBank.forward, RuleBank.backward
 
-        def key(X_t):
-            return X_t.shape[0] if batch_size is None else (epoch[0], X_t.shape[0])
-
-        def forward(bank, X_t, out=None):
-            alive.append(sum(r() is not None for r in firsts.values()))
-            alive_work.append(sum(all(r() is not None for r in w.values()) for w in works.values()))
-            fp = real_forward(bank, X_t, out=out)
-            if batch_size is None or X_t.shape[0] != 300:  # not a minibatch history pass
-                first = firsts.setdefault(key(X_t), weakref.ref(fp.final))()
-                shared.append(first is not None and np.shares_memory(first, fp.final))
-            refs.append(weakref.ref(fp.final))
-            return fp
+        def forward(bank, X_t, work=None):
+            (val if X_t.shape[0] == 30 else train).append(work)
+            return real_forward(bank, X_t, work)
 
         def backward(bank, fp, upstream):
+            assert fp.work is train[0]
             grad = real_backward(bank, fp, upstream)
-            first = works.setdefault(key(fp.X_t), {k: weakref.ref(a) for k, a in fp.work.items()})
-            assert first.keys() == fp.work.keys() and "route" in first
-            assert all(np.shares_memory(first[k](), a) for k, a in fp.work.items())
-            refs.extend(weakref.ref(a) for a in fp.work.values())
+            held.append(dict(fp.work))
             return grad
-
-        def hook(stage, payload):
-            if stage == "train_epoch":
-                epoch[0] = payload["epoch"] + 1
 
         monkeypatch.setattr(RuleBank, "forward", forward)
         monkeypatch.setattr(RuleBank, "backward", backward)
-        d = easy_dataset(np.random.default_rng(3), n=300)
+        d = easy_dataset(np.random.default_rng(3), n=300)  # 30 validation rows, 270 training
         epochs = 7
-        cfg = TrainConfig(max_depth=3, epochs=epochs, batch_size=batch_size, deep=deep)
-        nre_train(d, cfg, trace=hook)
-        if batch_size is None:
-            assert list(firsts) == [300]
-            assert alive == [0] + [1] * epochs
-        else:
-            steps = [(e, rows) for e in range(1, epochs + 1) for rows in (64, 44)]
-            assert list(firsts) == list(works) == steps
-            # four steps of 64 rows, one of 44, then the history pass
-            assert alive == [0] + epochs * [0, 1, 1, 1, 0, 0]
-        assert len(shared) == len(alive) - (0 if batch_size is None else epochs + 1)
-        assert all(shared)
-        assert alive_work == alive
+        cfg = TrainConfig(max_depth=3, epochs=epochs, batch_size=batch_size, deep=deep,
+                          early_stop_patience=epochs)
+        nre_train(d, cfg)
+        steps = 1 if batch_size is None else 5  # 270 rows: four steps of 64 and one of 14
+        assert len(train) == (epochs + 1 if batch_size is None else 1 + epochs * (steps + 1))
+        assert len(val) == epochs
+        pool = train[0]
+        assert isinstance(pool, dict) and "route" in pool
+        assert all(w is pool for w in train) and not any(w is pool for w in val)
+        # the run's first pass is its largest, so no buffer is ever replaced
+        assert all(h.keys() == pool.keys() and all(h[k] is pool[k] for k in h) for h in held)
         # and none of them outlives the run: the model holds no step buffers
+        refs = [weakref.ref(buf) for buf in pool.values()]
+        train.clear()
+        held.clear()
+        del pool
         gc.collect()
         assert not any(r() is not None for r in refs)
 
@@ -657,13 +642,13 @@ class TestPointScore:
         calls = []
         real_forward, real_scores = RuleBank.forward, RuleBank.scores
 
-        def forward(bank, X_t, out=None):
+        def forward(bank, X_t, work=None):
             calls.append(("forward", X_t.shape))
-            return real_forward(bank, X_t, out=out)
+            return real_forward(bank, X_t, work)
 
-        def scores(bank, X_t):
+        def scores(bank, X_t, work=None):
             calls.append(("scores", X_t.shape))
-            return real_scores(bank, X_t)
+            return real_scores(bank, X_t, work)
 
         model = leaf_model([make_random_rule(np.random.default_rng(36), True)], 4)
         monkeypatch.setattr(RuleBank, "forward", forward)

@@ -354,15 +354,17 @@ class TestMaskRouting:
         bank = RuleBank(tie_prone_rules(rng, deep, n_rules, q, dyadic))
         X = rng.integers(-6, 7, size=(n_rows, q)) / 4.0 if dyadic else rng.normal(size=(n_rows, q))
         X[rng.random(n_rows) < 0.2] *= 40.0  # far rows, mostly outside every support
-        stale = dirty = None
-        if reuse:  # a stale pass whose temporaries are then scribbled over
-            other = rng.normal(size=(n_rows, q)) * 2.0
-            stale = bank.forward(other)
-            bank.backward(stale, rng.normal(size=n_rows))
-            for buf in stale.work.values():
+        work = dirty = None
+        if reuse:  # a pool left by a pass over another row count, then scribbled over
+            n_other = int(rng.integers(1, 300))
+            n_other += n_other >= n_rows
+            work = {}
+            bank.backward(bank.forward(rng.normal(size=(n_other, q)) * 2.0, work),
+                          rng.normal(size=n_other))
+            for buf in work.values():
                 buf.fill(True if buf.dtype == bool else np.nan)
-            dirty = dict(stale.work)
-        fp = bank.forward(X, out=stale)
+            dirty = dict(work)
+        fp = bank.forward(X, work)
         if broken_columns:  # an all-inf column and a NaN unit, as overflowing rows give
             final, H = fp.final.copy(), bank.B1.shape[1]
             final[rng.integers(n_rules), :, rng.integers(n_rows)] = np.inf
@@ -378,62 +380,59 @@ class TestMaskRouting:
         want = reference_bank_backward(bank, fp, upstream).copy()
         assert np.array_equal(got, want, equal_nan=True)
         assert fp.X_t is X
-        if reuse:  # every temporary came from the stale pass
-            assert fp.work is stale.work
-            assert fp.work.keys() == dirty.keys()
-            assert all(fp.work[k] is dirty[k] for k in dirty)
+        if reuse:  # every array came from the pool, a buffer replaced only when too small
+            assert fp.work is work and work.keys() == dirty.keys()
+            assert all(work[k] is dirty[k] or work[k].size > dirty[k].size for k in dirty)
 
 
-class TestForwardOut:
+class TestWorkPool:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
         seed=st.integers(0, 2**32 - 1),
         deep=st.booleans(),
         n_rules=st.integers(1, 6),
-        n_rows=st.integers(1, 300),
+        # repeats are likely: larger, smaller and equal row counts all follow each other
+        row_counts=st.lists(
+            st.sampled_from([1, 7, 64]) | st.integers(1, 300), min_size=1, max_size=6
+        ),
     )
-    def test_matches_a_fresh_pass_in_the_given_arrays(self, seed, deep, n_rules, n_rows):
+    def test_passes_match_fresh_ones_and_buffers_only_grow(self, seed, deep, n_rules, row_counts):
+        """Passes of any row counts, each then run backward, through one pool."""
         rng = np.random.default_rng(seed)
         q = int(rng.integers(1, 4))
         bank = RuleBank(tie_prone_rules(rng, deep, n_rules, q, dyadic=False))
-        stale = bank.forward(rng.normal(size=(n_rows, q)) * 3.0)
-        for buf in stale[:4]:  # the pass's four arrays
-            if buf is not None:
-                buf.fill(np.nan)
-        X = rng.normal(size=(n_rows, q))
-        got, want = bank.forward(X, out=stale), bank.forward(X)
-        assert (got.act1 is None) == (want.act1 is None) == (not deep)
-        for g, w, s in zip(got[:4], want[:4], stale[:4]):
-            if w is not None:
-                assert g.tobytes() == w.tobytes()
-                assert np.shares_memory(g, s)
-        assert got.X_t is want.X_t is X
-        assert got.work is stale.work and want.work == {}
-
-    @pytest.mark.parametrize("deep", [False, True])
-    def test_pass_of_another_shape_is_rejected(self, deep):
-        rng = np.random.default_rng(19)
-        rules = [make_random_rule(rng, deep, H=3, q=2) for _ in range(2)]
-        bank = RuleBank(rules)
-        X = rng.normal(size=(10, 2))
-        with pytest.raises(ValueError, match="out holds a pass of shape"):
-            bank.forward(X, out=bank.forward(X[:9]))
-        with pytest.raises(ValueError, match="out holds a pass of shape"):
-            bank.forward(X, out=RuleBank(rules[:1]).forward(X))
+        work, fields = {}, ("scores", "pooled", "final", "act1")
+        for n_rows in row_counts:
+            before = dict(work)
+            X, upstream = rng.normal(size=(n_rows, q)), rng.normal(size=n_rows)
+            got = bank.forward(X, work)
+            got_grad = bank.backward(got, upstream).copy()
+            want = bank.forward(X)
+            want_grad = bank.backward(want, upstream)
+            assert got.work is work and want.work is None
+            assert (got.act1 is None) == (want.act1 is None) == (not deep)
+            for name, g, w in zip(fields, got[:4], want[:4]):
+                if w is not None:
+                    assert g.flags.c_contiguous and g.tobytes() == w.tobytes()
+                    assert np.shares_memory(g, work[name])
+            assert got.X_t is want.X_t is X
+            assert got_grad.tobytes() == want_grad.tobytes()
+            for name, buf in before.items():
+                assert work[name] is buf or work[name].size > buf.size
 
 
 class TestScoreChunks:
     @pytest.mark.parametrize("deep", [False, True])
     def test_full_chunks_share_the_first_chunks_arrays(self, monkeypatch, deep):
-        """Every later chunk, the short last one too, is written into the first pass."""
+        """Every chunk's pass, the short last one too, is drawn from one pool."""
         rng = np.random.default_rng(23)
         bank = RuleBank([make_random_rule(rng, deep, H=3, q=2) for _ in range(4)])
         rows = score_pass_rows(bank)
         X = rng.normal(size=(3 * rows + 5, 2))  # three full chunks and a short one
         passes, real_forward = [], RuleBank.forward
 
-        def forward(bank, X_t, out=None):
-            passes.append(real_forward(bank, X_t, out=out))
+        def forward(bank, X_t, work=None):
+            passes.append(real_forward(bank, X_t, work))
             return passes[-1]
 
         monkeypatch.setattr(RuleBank, "forward", forward)
@@ -445,6 +444,7 @@ class TestScoreChunks:
         first = passes[0]
         row_bytes = sum(a.nbytes for a in first[:4] if a is not None) // rows
         assert rows * row_bytes <= SCORE_PASS_BYTES < (rows + 1) * row_bytes
+        assert all(fp.work is first.work for fp in passes)
         for fp in passes[1:]:  # the pass's four arrays
             assert all(a is None or np.shares_memory(a, b) for a, b in zip(fp[:4], first[:4]))
 
