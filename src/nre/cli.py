@@ -231,13 +231,19 @@ def cmd_train(args) -> int:
     if last > cfg.epochs:
         raise UsageError(f"--checkpoint-at {last} is past the last epoch, {cfg.epochs}")
     dataset = _load_dataset(args)
+    saved = set()
 
     def trace(stage, payload):
         if stage == "train_epoch" and payload["epoch"] in args.checkpoint_at:
             save_model(payload["model"], _checkpoint_path(args.out, payload["epoch"]))
+            saved.add(payload["epoch"])
 
     model = nre_train(dataset, cfg, trace=trace if args.checkpoint_at else None)
     save_model(model, args.out)
+    unsaved = sorted(args.checkpoint_at - saved)
+    if unsaved:
+        print(f"warning: training ended before checkpoint epochs {','.join(map(str, unsaved))}; "
+              "not written", file=sys.stderr)
     if args.log:
         with open(args.log, "w", encoding="utf-8") as fh:
             fh.write("epoch,loss,error\n")
@@ -276,14 +282,17 @@ def cmd_eval(args) -> int:
 GRID_DEPTHS = (2, 4, 6, 8, 10)
 
 
+def _print_fold(fold, err):
+    print(f"fold {fold}: error {100 * err:.2f}%")
+
+
 def _run_folds(dataset, folds, cfg, verbose=True):
     errors = []
     for fold in range(folds.k):
         model = nre_train(dataset.subset(folds.train_indices(fold)), cfg)
-        err = evaluate(model, dataset.subset(folds.test_indices(fold)))
-        errors.append(err)
+        errors.append(evaluate(model, dataset.subset(folds.test_indices(fold))))
         if verbose:
-            print(f"fold {fold}: error {100 * err:.2f}%")
+            _print_fold(fold, errors[-1])
     return errors
 
 
@@ -292,17 +301,19 @@ def cmd_cv(args) -> int:
     dataset = _load_dataset(args)
     folds = stratified_kfold(dataset, args.k, cfg.seed)
     t0 = time.perf_counter()
-    if args.grid:
-        best_depth, best_mean = None, None
+    if args.grid:  # each depth's folds train once; the best depth reports the sweep's errors
+        sweep = {}
         for depth in GRID_DEPTHS:
-            trial = replace(cfg, max_depth=depth)
-            mean = float(np.mean(_run_folds(dataset, folds, trial, verbose=False)))
-            print(f"depth {depth:2d}: mean error {100 * mean:.2f}%")
-            if best_mean is None or mean < best_mean:
-                best_depth, best_mean = depth, mean
+            sweep[depth] = _run_folds(dataset, folds, replace(cfg, max_depth=depth), verbose=False)
+            print(f"depth {depth:2d}: mean error {100 * float(np.mean(sweep[depth])):.2f}%")
+        best_depth = min(sweep, key=lambda depth: np.mean(sweep[depth]))  # the first of a tie
         print(f"best depth: {best_depth}")
         cfg = replace(cfg, max_depth=best_depth)
-    errors = _run_folds(dataset, folds, cfg)
+        errors = sweep[best_depth]
+        for fold, err in enumerate(errors):
+            _print_fold(fold, err)
+    else:
+        errors = _run_folds(dataset, folds, cfg)
     wall = time.perf_counter() - t0
     mean, std = float(np.mean(errors)), float(np.std(errors))
     print(f"mean error {100 * mean:.2f}% +- {100 * std:.2f}% ({wall:.1f}s)")

@@ -201,25 +201,19 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
 
     The optional ``trace(stage, payload)`` hook fires at every stage boundary
     ("standardize", "tree", "rules", "neural_init", one "train_epoch" per epoch
-    including the epoch-0 baseline, then "done"), which makes the pipeline
-    order observable and lets callers write mid-training checkpoints. The hook
-    must not modify the model: with full batches, an epoch's history row comes
-    from the forward pass that the next step then reuses. With early stopping,
-    the payloads of epochs 1 on also carry that epoch's ``val_loss``.
+    from the epoch-0 baseline on, then "done"), so callers can observe the
+    pipeline and write checkpoints. It must not modify the model: with full
+    batches, an epoch's history pass is the next step's pass. With early
+    stopping, payloads of epochs 1 on also carry ``val_loss``.
 
-    Both batch modes run one epoch loop. An epoch steps through the training
-    rows in batch-sized slices of a permutation drawn at the end of the
-    previous epoch (epoch 1's before the epoch-0 row); a full batch is one
-    step, and a full-batch step runs on the history pass's rows. Every step
-    and history pass of the run draws its arrays from one ``work`` pool (see
-    ``RuleBank.forward``), so the epoch loop does not allocate and fault them
-    in again; validation scoring keeps its own, since it would overwrite the
-    history pass that the next full-batch step runs on.
+    One epoch loop serves both batch modes, and epoch 0 takes no step. Each
+    epoch steps through batch-sized slices of a permutation drawn at the end
+    of the epoch before; a full batch is one step. Every pass of the run,
+    step, validation and history, draws its arrays from one ``work`` pool.
 
-    A non-finite training loss after an epoch raises FloatingPointError naming
-    that epoch. Early stopping restores the parameters of the epoch with the
-    lowest validation loss and cuts ``history`` after that epoch, so its last
-    row describes the returned model; the hook has still seen every epoch.
+    A non-finite training loss raises FloatingPointError naming the epoch.
+    Early stopping restores the epoch with the lowest validation loss and cuts
+    ``history`` after it; the hook has still seen every epoch.
     """
     emit = trace if trace is not None else (lambda stage, payload: None)
     if len(np.unique(d.labels)) < 2:
@@ -256,56 +250,45 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
     N = X_t.shape[0]
     rng = np.random.default_rng(cfg.seed)
 
-    if cfg.early_stop_patience is not None:
-        n_val = max(1, int(round(0.10 * N)))
-        perm = rng.permutation(N)
-        val_idx, train_idx = perm[:n_val], perm[n_val:]
-    else:
-        val_idx, train_idx = None, np.arange(N)
-    n_train = train_idx.size
-    batch = cfg.batch_size or (n_train if n_train <= FULL_BATCH_LIMIT else 256)
-    batch = min(batch, n_train)
-
-    state = AdamState.for_params(bank.params.size, alpha=cfg.learning_rate)
-    X_train, y_train = X_t[train_idx], y[train_idx]
-    if val_idx is not None:
-        X_val, y_val = X_t[val_idx], y[val_idx]
+    # the validation rows lead a seeded permutation; without early stopping there are none
+    n_val = 0 if cfg.early_stop_patience is None else max(1, int(round(0.10 * N)))
+    perm = rng.permutation(N) if n_val else np.arange(N)
+    X_val, y_val = X_t[perm[:n_val]], y[perm[:n_val]]
+    X_train, y_train = X_t[perm[n_val:]], y[perm[n_val:]]
+    n_train = N - n_val
+    batch = min(cfg.batch_size or (n_train if n_train <= FULL_BATCH_LIMIT else 256), n_train)
     full = batch == n_train  # one step per epoch, on the pass of the history row before it
 
+    state = AdamState.for_params(bank.params.size, alpha=cfg.learning_rate)
     work = {}  # the run's one buffer pool
-    order = rng.permutation(n_train)
-    fp, (loss, err) = _epoch_history(bank, X_train, y_train, order if full else None, work)
-    model.history = [(0, loss, err)]
-    emit("train_epoch", {"epoch": 0, "loss": loss, "error": err, "model": model})
-
-    best_val, best_params, stale = np.inf, None, 0
-    for epoch in range(1, cfg.epochs + 1):
-        for start in range(0, n_train, batch):
+    # without early stopping the last epoch is the best, and best_params is the bank's own
+    best_val, best_params, best_epoch, stale = np.inf, bank.params, cfg.epochs, 0
+    for epoch in range(cfg.epochs + 1):  # epoch 0 takes no step: the baseline row
+        for start in range(0, n_train if epoch else 0, batch):
             idx = order[start : start + batch]
             if not full:  # take is several times faster than X_train[idx]
                 fp = bank.forward(X_train.take(idx, axis=0), work)
             _, grad = model_loss_and_grad(bank, fp, y_train[idx], l2=cfg.l2)
             adam_step(bank.params, grad, state)
+        # validation before the history pass, which the next full-batch step runs on
+        val = ({"val_loss": _loss_and_error(bank.scores(X_val, work), y_val)[0]}
+               if n_val and epoch else {})
         order = rng.permutation(n_train)
         fp, (loss, err) = _epoch_history(bank, X_train, y_train, order if full else None, work)
         if not np.isfinite(loss):
             raise FloatingPointError(f"training diverged at epoch {epoch}: loss {loss}")
         model.history.append((epoch, loss, err))
-        payload = {"epoch": epoch, "loss": loss, "error": err, "model": model}
-        if val_idx is not None:
-            val_loss = payload["val_loss"] = _loss_and_error(bank.scores(X_val), y_val)[0]
-        emit("train_epoch", payload)
-        if val_idx is None:
+        emit("train_epoch", {"epoch": epoch, "loss": loss, "error": err, "model": model, **val})
+        if not val:
             continue
-        if val_loss < best_val:
-            best_val, best_params, best_epoch, stale = val_loss, bank.params.copy(), epoch, 0
+        if val["val_loss"] < best_val:
+            best_val, best_params, best_epoch, stale = val["val_loss"], bank.params.copy(), epoch, 0
         else:
             stale += 1
             if stale >= cfg.early_stop_patience:
                 break
-    if best_params is not None:
-        bank.params[:] = best_params
-        del model.history[best_epoch + 1 :]
+    bank.params[:] = best_params
+    del model.history[best_epoch + 1 :]
     emit("done", model)
     return model
 

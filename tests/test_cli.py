@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 
 from conftest import chain_dataset
 from golden_tables import ANN_VS_NRE, GB_VS_NRE, RF_VS_NRE
-from nre.cli import _read_config_file, _write_dataset_csv, main
+from nre import cli
+from nre.cli import _read_config_file, _write_dataset_csv, build_parser, main
 from nre.data import StandardizationParams, gen_rotated_xor, load_table
 from nre.ensemble import (
     NREModel,
@@ -221,6 +223,32 @@ class TestTrain:
         assert code == 1
         assert "--checkpoint-at 5 is past the last epoch, 3" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_checkpoint_after_an_early_stop_is_warned(self, tmp_path, capsys):
+        """Early stopping cannot be foreseen, so an epoch it never reached is
+        not an error: its checkpoint is named in a warning and exit stays 0."""
+        data, model_path = tmp_path / "xor.csv", tmp_path / "m.json"
+        assert main(["gen", "xor", "--n", "600", "--seed", "3", "--out", str(data)]) == 0
+        code, _, err = run(capsys, "train", "--data", str(data), "--out", str(model_path),
+                           "--epochs", "200", "--early-stop-patience", "1",
+                           "--learning-rate", "2.0", "--deep", "--checkpoint-at", "0,190")
+        assert code == 0
+        assert "warning: training ended before checkpoint epochs 190; not written" in err
+        assert sorted(p.name for p in tmp_path.glob("m*.json")) == ["m.iter0.json", "m.json"]
+
+    def test_rule_less_model(self, tmp_path, capsys):
+        """A tree that is a single leaf trains, saves and predicts a constant model."""
+        data, model_path, preds = tmp_path / "flat.csv", tmp_path / "m.json", tmp_path / "p.csv"
+        data.write_text("a,b,label\n1,5,1\n1,5,-1\n1,5,1\n1,5,-1\n")
+        with pytest.warns(UserWarning, match="single leaf"):
+            code, stdout, _ = run(capsys, "train", "--data", str(data), "--out", str(model_path))
+        assert code == 0
+        assert "warning: tree degenerated to a single leaf; model is constant" in stdout
+        assert load_model(model_path).degenerate
+        code, _, _ = run(capsys, "predict", "--model", str(model_path), "--data", str(data),
+                         "--out", str(preds))
+        assert code == 0
+        assert preds.read_text().splitlines() == ["score,prediction"] + ["0.0,1"] * 4
 
     def test_config_file_and_flag_precedence(self, tmp_path, small_xor_csv, capsys):
         cfg = tmp_path / "nre.cfg"
@@ -527,6 +555,39 @@ class TestCv:
         for depth in (2, 4, 6, 8, 10):
             assert f"depth {depth:2d}:" in stdout
         assert "best depth:" in stdout
+
+    def test_grid_trains_each_depth_once(self, small_xor_csv, capsys, monkeypatch):
+        """The best depth's fold lines come from the sweep: 5 depths x k folds,
+        and the same fold lines as a plain run at that depth."""
+        calls = []
+        real_train = cli.nre_train
+
+        def counting_train(d, cfg, trace=None):
+            calls.append(cfg)
+            return real_train(d, cfg, trace)
+
+        monkeypatch.setattr(cli, "nre_train", counting_train)
+        code, stdout, _ = run(capsys, "cv", "--data", small_xor_csv, "--k", "3", "--grid",
+                              "--epochs", "2")
+        assert code == 0
+        assert sorted(c.max_depth for c in calls) == sorted([2, 4, 6, 8, 10] * 3)
+        best = int(re.search(r"best depth: (\d+)", stdout).group(1))
+        folds = lambda out: [ln for ln in out.splitlines() if ln.startswith("fold")]
+        _, plain, _ = run(capsys, "cv", "--data", small_xor_csv, "--k", "3", "--epochs", "2",
+                          "--max-depth", str(best))
+        assert len(folds(stdout)) == 3 and folds(stdout) == folds(plain)
+
+
+def test_readme_command_lines_parse():
+    """Every ``nre`` line of the README's command-line block parses."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [ln.strip() for ln in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(ln)[1:] for ln in lines if ln.startswith("nre ")]
+    assert len(commands) == 11
+    for argv in commands:
+        build_parser().parse_args(argv)  # a flag the parser lacks raises UsageError
 
 
 class TestCompare:
