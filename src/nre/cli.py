@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -50,6 +51,9 @@ CACHE_DIR_ENV = "NRE_CACHE_DIR"
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # an abbreviated flag is unrecognized
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -253,8 +257,6 @@ def cmd_train(args) -> int:
         f"trained {len(model.rules)} rules (deep={cfg.deep}) in {len(model.history) - 1} epochs; "
         f"training error {100 * model.history[-1][2]:.2f}%"
     )
-    if model.degenerate:
-        print("warning: tree degenerated to a single leaf; model is constant")
     return 0
 
 
@@ -282,38 +284,28 @@ def cmd_eval(args) -> int:
 GRID_DEPTHS = (2, 4, 6, 8, 10)
 
 
-def _print_fold(fold, err):
-    print(f"fold {fold}: error {100 * err:.2f}%")
-
-
-def _run_folds(dataset, folds, cfg, verbose=True):
-    errors = []
-    for fold in range(folds.k):
-        model = nre_train(dataset.subset(folds.train_indices(fold)), cfg)
-        errors.append(evaluate(model, dataset.subset(folds.test_indices(fold))))
-        if verbose:
-            _print_fold(fold, errors[-1])
-    return errors
-
-
 def cmd_cv(args) -> int:
     cfg = _train_config(args)
     dataset = _load_dataset(args)
     folds = stratified_kfold(dataset, args.k, cfg.seed)
     t0 = time.perf_counter()
-    if args.grid:  # each depth's folds train once; the best depth reports the sweep's errors
-        sweep = {}
-        for depth in GRID_DEPTHS:
-            sweep[depth] = _run_folds(dataset, folds, replace(cfg, max_depth=depth), verbose=False)
-            print(f"depth {depth:2d}: mean error {100 * float(np.mean(sweep[depth])):.2f}%")
-        best_depth = min(sweep, key=lambda depth: np.mean(sweep[depth]))  # the first of a tie
-        print(f"best depth: {best_depth}")
-        cfg = replace(cfg, max_depth=best_depth)
-        errors = sweep[best_depth]
+    sweep = {}  # depth -> its fold errors; each depth's folds train once
+    for depth in GRID_DEPTHS if args.grid else (cfg.max_depth,):
+        fold_cfg, errors = replace(cfg, max_depth=depth), sweep.setdefault(depth, [])
+        for fold in range(folds.k):
+            model = nre_train(dataset.subset(folds.train_indices(fold)), fold_cfg)
+            errors.append(evaluate(model, dataset.subset(folds.test_indices(fold))))
+            if not args.grid:
+                print(f"fold {fold}: error {100 * errors[-1]:.2f}%")
+        if args.grid:
+            print(f"depth {depth:2d}: mean error {100 * float(np.mean(errors)):.2f}%")
+    # the best depth, the first of a tie, reports its folds
+    cfg = replace(cfg, max_depth=min(sweep, key=lambda depth: np.mean(sweep[depth])))
+    errors = sweep[cfg.max_depth]
+    if args.grid:
+        print(f"best depth: {cfg.max_depth}")
         for fold, err in enumerate(errors):
-            _print_fold(fold, err)
-    else:
-        errors = _run_folds(dataset, folds, cfg)
+            print(f"fold {fold}: error {100 * err:.2f}%")
     wall = time.perf_counter() - t0
     mean, std = float(np.mean(errors)), float(np.std(errors))
     print(f"mean error {100 * mean:.2f}% +- {100 * std:.2f}% ({wall:.1f}s)")
@@ -447,12 +439,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            args = parser.parse_args(argv)
+            return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (DataError, ModelFormatError, FileNotFoundError, OSError) as e:
+    except (DataError, ModelFormatError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # numeric/runtime failures

@@ -127,9 +127,7 @@ class NREModel:
 
     @property
     def tree_features(self) -> tuple[int, ...]:
-        if self.rules:
-            return self.rules[0].tree_features
-        return self.source_tree.feature_set
+        return self.bank.tree_features
 
     @property
     def constant_score(self) -> float:
@@ -181,13 +179,17 @@ def _loss_and_error(scores, labels):
     return float(loss), float(np.mean(np.where(scores >= 0.0, 1, -1) != labels))
 
 
-def _epoch_history(bank, X_train, y_train, order, work):
+def _epoch_history(model, X_train, y_train, order, work):
     """The training loss and error, and with full batches the next step's pass.
 
     Given the next epoch's ``order``, one forward pass over X_train in that
     order serves both; without one, ``bank.scores`` scores X_train. Either
-    draws its arrays from the ``work`` pool.
+    draws its arrays from the ``work`` pool. A rule-less model scores its
+    ``constant_score`` and has no pass.
     """
+    if not model.rules:
+        return None, _loss_and_error(np.full(y_train.size, model.constant_score), y_train)
+    bank = model.bank
     if order is None:
         return None, _loss_and_error(bank.scores(X_train, work), y_train)
     fp = bank.forward(X_train.take(order, axis=0), work)
@@ -205,6 +207,10 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
     pipeline and write checkpoints. It must not modify the model: with full
     batches, an epoch's history pass is the next step's pass. With early
     stopping, payloads of epochs 1 on also carry ``val_loss``.
+
+    The stage list holds for every model. A tree that is a single leaf gives
+    no rules and warns: its rule-less model scores the root's margin, and its
+    run is epoch 0 alone, with one history row over all rows.
 
     One epoch loop serves both batch modes, and epoch 0 takes no step. Each
     epoch steps through batch-sized slices of a permutation drawn at the end
@@ -226,15 +232,9 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
     tree = build_tree(ds, cfg.max_depth, cfg.min_leaf)
     emit("tree", tree)
 
-    if tree.root.is_leaf:
+    rules = [] if tree.root.is_leaf else extract_rules(tree)
+    if not rules:
         warnings.warn("tree degenerated to a single leaf; returning a constant model")
-        model = NREModel(params, [], cfg, tree)
-        loss, err = _loss_and_error(np.full(ds.n_samples, model.constant_score), ds.labels)
-        model.history = [(0, loss, err)]
-        emit("done", model)
-        return model
-
-    rules = extract_rules(tree)
     if cfg.max_rules is not None and cfg.max_rules < len(rules):
         keep = rank_rules(rules)[: cfg.max_rules]
         rules = [rules[i] for i in keep]
@@ -250,8 +250,8 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
     N = X_t.shape[0]
     rng = np.random.default_rng(cfg.seed)
 
-    # the validation rows lead a seeded permutation; without early stopping there are none
-    n_val = 0 if cfg.early_stop_patience is None else max(1, int(round(0.10 * N)))
+    # the validation rows lead a seeded permutation; without early stopping or rules, none
+    n_val = 0 if cfg.early_stop_patience is None or not rules else max(1, int(round(0.10 * N)))
     perm = rng.permutation(N) if n_val else np.arange(N)
     X_val, y_val = X_t[perm[:n_val]], y[perm[:n_val]]
     X_train, y_train = X_t[perm[n_val:]], y[perm[n_val:]]
@@ -263,7 +263,8 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
     work = {}  # the run's one buffer pool
     # without early stopping the last epoch is the best, and best_params is the bank's own
     best_val, best_params, best_epoch, stale = np.inf, bank.params, cfg.epochs, 0
-    for epoch in range(cfg.epochs + 1):  # epoch 0 takes no step: the baseline row
+    # epoch 0 takes no step: the baseline row, and a rule-less model's only one
+    for epoch in range(cfg.epochs + 1 if rules else 1):
         for start in range(0, n_train if epoch else 0, batch):
             idx = order[start : start + batch]
             if not full:  # take is several times faster than X_train[idx]
@@ -274,7 +275,7 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
         val = ({"val_loss": _loss_and_error(bank.scores(X_val, work), y_val)[0]}
                if n_val and epoch else {})
         order = rng.permutation(n_train)
-        fp, (loss, err) = _epoch_history(bank, X_train, y_train, order if full else None, work)
+        fp, (loss, err) = _epoch_history(model, X_train, y_train, order if full else None, work)
         if not np.isfinite(loss):
             raise FloatingPointError(f"training diverged at epoch {epoch}: loss {loss}")
         model.history.append((epoch, loss, err))

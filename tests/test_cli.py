@@ -237,14 +237,23 @@ class TestTrain:
         assert sorted(p.name for p in tmp_path.glob("m*.json")) == ["m.iter0.json", "m.json"]
 
     def test_rule_less_model(self, tmp_path, capsys):
-        """A tree that is a single leaf trains, saves and predicts a constant model."""
+        """A tree that is a single leaf trains, saves and predicts a constant model.
+
+        Its warning is one ``warning:`` line on stderr, and its epoch 0 is a
+        checkpoint like any model's: the model itself, as nothing trains after it.
+        """
         data, model_path, preds = tmp_path / "flat.csv", tmp_path / "m.json", tmp_path / "p.csv"
         data.write_text("a,b,label\n1,5,1\n1,5,-1\n1,5,1\n1,5,-1\n")
-        with pytest.warns(UserWarning, match="single leaf"):
-            code, stdout, _ = run(capsys, "train", "--data", str(data), "--out", str(model_path))
+        code, stdout, err = run(capsys, "train", "--data", str(data), "--out", str(model_path),
+                                "--checkpoint-at", "0")
         assert code == 0
-        assert "warning: tree degenerated to a single leaf; model is constant" in stdout
+        line = "warning: tree degenerated to a single leaf; returning a constant model"
+        assert err.splitlines() == [line]
+        assert "UserWarning" not in err and "warnings.warn(" not in err
+        assert "leaf" not in stdout
         assert load_model(model_path).degenerate
+        checkpoint = tmp_path / "m.iter0.json"
+        assert checkpoint.read_bytes() == model_path.read_bytes()
         code, _, _ = run(capsys, "predict", "--model", str(model_path), "--data", str(data),
                          "--out", str(preds))
         assert code == 0
@@ -368,6 +377,19 @@ class TestTrain:
     def test_missing_required_flag_is_usage_error(self, capsys):
         code, _, err = run(capsys, "train", "--data", "x.csv")
         assert code == 1
+
+    @pytest.mark.parametrize("argv, unrecognized", [
+        ("gen xor --out d.csv --noise 0.1", "--noise 0.1"),
+        ("train --data d.csv --out m.json --epo 3 --dee", "--epo 3 --dee"),
+    ])
+    def test_abbreviated_flag_is_usage_error(self, tmp_path, capsys, monkeypatch, argv,
+                                             unrecognized):
+        """A prefix of a flag is not that flag: --noise is not --noise-std."""
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run(capsys, *argv.split())
+        assert code == 1
+        assert err == f"usage error: unrecognized arguments: {unrecognized}\n"
+        assert stdout == "" and os.listdir(tmp_path) == []
 
 
 def _dataset_contents(path):
@@ -546,6 +568,17 @@ class TestCv:
         assert code == 2
         assert "cannot split 200 samples into more than 200 folds" in err
         assert all(len(line) < 200 for line in err.splitlines())
+
+    @pytest.mark.parametrize("grid", [[], ["--grid"]])
+    def test_rule_less_folds_warn_once(self, tmp_path, capsys, grid):
+        """Every fold of a constant feature is rule-less: one warning line, no source line."""
+        data = tmp_path / "flat.csv"
+        data.write_text("a,label\n" + "".join(f"1,{1 - 2 * (i % 2)}\n" for i in range(12)))
+        code, stdout, err = run(capsys, "cv", "--data", str(data), "--k", "3", "--epochs", "2",
+                                *grid)
+        assert code == 0
+        assert err == "warning: tree degenerated to a single leaf; returning a constant model\n"
+        assert "mean error 50.00%" in stdout
 
     def test_grid_sweeps_depths(self, small_xor_csv, capsys):
         code, stdout, _ = run(

@@ -186,11 +186,24 @@ class TestTrainPipeline:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_single_leaf_degenerate_model(self):
+        """A rule-less model passes every stage; its run is epoch 0, scored over all rows."""
         X = np.array([[1.0], [1.0], [1.0], [1.0]])
         y = np.array([1, 1, 1, -1])
         d = Dataset(X, y, ("f",))  # constant feature: no split possible
-        with pytest.warns(UserWarning, match="single leaf"):
-            model = nre_train(d, TrainConfig(epochs=1))
+        loss = np.mean(np.logaddexp(0.0, -0.5 * y))  # the constant 0.5 on all four rows
+        for patience in (None, 2):
+            stages = []
+            with pytest.warns(UserWarning, match="single leaf"):
+                model = nre_train(d, TrainConfig(epochs=5, early_stop_patience=patience),
+                                  trace=lambda stage, payload: stages.append((stage, payload)))
+            assert [stage for stage, _ in stages] == [
+                "standardize", "tree", "rules", "neural_init", "train_epoch", "done"
+            ]
+            assert stages[2][1] == stages[3][1] == []
+            epoch = stages[4][1]
+            assert (epoch["epoch"], epoch["model"]) == (0, model) and "val_loss" not in epoch
+            assert stages[5][1] is model
+            assert model.history == [(0, pytest.approx(loss), 0.25)]
         assert model.degenerate and model.rules == []
         assert model.constant_score == pytest.approx(0.5)
         assert nre_predict(model, [1.0]) == 1

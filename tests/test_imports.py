@@ -7,7 +7,8 @@ imports: the names it imports are exactly ``nre.__all__``, and each resolves.
 ``from __future__`` imports are directives, so they are exempt too.
 
 No module but ``data.py`` opens a file to read text: the others read through
-``nre.data.read_text``.
+``nre.data.read_text``. No module but ``cli.py`` prints or names the standard
+streams: the library reports through exceptions and ``warnings`` alone.
 """
 import ast
 import os
@@ -155,6 +156,37 @@ def test_text_is_read_only_in_data(module):
     """Text input is read through ``nre.data.read_text``, which maps its faults to DataError."""
     with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
         assert text_reads(fh.read()) == []
+
+
+def stream_writes(source: str) -> list[str]:
+    """Calls of ``print`` and every use of ``sys.stdout`` or ``sys.stderr``, imported or not."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "print":
+            found.append((node.lineno, f"line {node.lineno}: print"))
+        elif isinstance(node, ast.Attribute) and ast.unparse(node) in ("sys.stdout", "sys.stderr"):
+            found.append((node.lineno, f"line {node.lineno}: {ast.unparse(node)}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            found.extend((node.lineno, f"line {node.lineno}: sys.{alias.name}")
+                         for alias in node.names if alias.name in ("stdout", "stderr"))
+    return [text for _, text in sorted(found)]
+
+
+def test_stream_write_is_found():
+    source = (
+        "print(x)\nsys.stdout.write(x)\nf(file=sys.stderr)\nfrom sys import stderr, argv\n"
+        "log.print(x)\nsys.argv\nprinter(x)\n"
+    )
+    assert stream_writes(source) == [
+        "line 1: print", "line 2: sys.stdout", "line 3: sys.stderr", "line 4: sys.stderr"
+    ]
+
+
+@pytest.mark.parametrize("module", [m for m in SOURCES if m != "cli.py"])
+def test_only_the_cli_writes_to_the_streams(module):
+    """The library reports through exceptions and ``warnings``; ``nre.cli`` prints them."""
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        assert stream_writes(fh.read()) == []
 
 
 def test_package_exports_exactly_what_it_imports():
