@@ -395,11 +395,11 @@ def save_model(m: NREModel, path: str) -> None:
             if getattr(r, name) is not None and not np.all(np.isfinite(getattr(r, name)))
         ]
         raise ValueError(f"cannot save a model with non-finite parameters: {', '.join(bad)}")
-    payload = _model_payload(m)
-    checksum = hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
-    payload["checksum"] = checksum
+    body = _canonical(_model_payload(m))
+    checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    # "checksum" sorts before every other key: this is the canonical dump with it
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_canonical(payload))
+        fh.write('{"checksum":"' + checksum + '",' + body[1:])
 
 
 def load_model(path: str) -> NREModel:

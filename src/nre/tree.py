@@ -4,16 +4,21 @@ The gain of a split is the children's summed (n+ - n-)^2 / n minus the same
 quantity at the parent, so a split is only worth taking when it increases the
 squared class-count margin per sample.
 
-The split search is exact and sorts once. ``build_tree`` argsorts every
-feature a single time into a feature-major (p, N) index table: row f lists
-all samples in ascending order of feature f. Each node owns a column range
-``[lo, hi)`` of that table holding exactly its samples, still sorted per
-feature. After a split the range is partitioned in place, left samples first,
-each side keeping its order, so children are never sorted again. A node's
-scan evaluates every candidate of every feature with whole-array numpy
-operations, in feature blocks of at most ``SPLIT_SCAN_CELLS`` table cells,
-which bounds each temporary of the scan to about 2 MB however wide or tall
-the data.
+The split search is exact and sorts once, in the manner of SLIQ's presorted
+attribute lists (Mehta, Agrawal & Rissanen 1996). ``build_tree`` argsorts
+every feature a single time and keeps three feature-major tables of p x N
+cells: the row index (int32), the feature value (float64) and the class label
+(bool) of each feature's rows in ascending order of that feature. A node of n
+rows owns one contiguous (p, n) block of each table, holding exactly its rows,
+still sorted per feature, so a scan reads its values and labels as contiguous
+slices and gathers nothing. After a split the block is partitioned in place
+into the left child's (p, n_left) block followed by the right child's, each
+feature keeping its order, so children are never sorted again. The tables take
+13 bytes per cell, and growth peaks at about 30 (the partition's positions and
+one moved table on top of them). A node's scan evaluates every candidate of
+every feature with whole-array numpy operations, in feature blocks of at most
+``SPLIT_SCAN_CELLS`` table cells, which bounds each temporary of the scan to
+about 2 MB however wide or tall the data.
 Child class-count margins are exact int64, so the gains, thresholds and
 tie-breaks (lowest feature, then lowest threshold) are those of a per-feature
 scan that sorts at every node.
@@ -183,38 +188,51 @@ class DecisionTree:
 
 
 def _scan(
-    XT: np.ndarray, pos: np.ndarray, seg: np.ndarray, n_pos: int, min_leaf: int
+    vals: np.ndarray, labs: np.ndarray, n_pos: int, min_leaf: int
 ) -> tuple[int, float, float, int] | None:
-    """Best split of one node whose rows, sorted by each feature, are the rows of seg.
+    """Best split of one node from its sorted value and label tables.
 
-    ``XT`` is the (p, N) feature-major data, ``pos`` marks the positive rows,
-    ``seg[f]`` lists the node's rows in ascending order of feature f and
-    ``n_pos`` counts its positives. Candidate ``i`` puts the first ``i + 1``
-    rows of each list on the left, and counts only if its midpoint lies strictly
-    between the two values (equal values and adjacent doubles have none). Returns
-    (feature, threshold, gain, left child size).
+    Row f of ``vals`` holds the node's values of feature f in ascending order
+    and the same row of ``labs`` marks which of those rows are positive;
+    ``n_pos`` counts the node's positives. Candidate ``i`` puts the first
+    ``i + 1`` entries of each row on the left, and counts only if its midpoint
+    lies strictly between the two values (equal values and adjacent doubles have
+    none). Returns (feature, threshold, gain, left child size).
     """
-    p, n = seg.shape
+    p, n = vals.shape
     first, stop = min_leaf - 1, n - min_leaf  # candidates leaving min_leaf on each side
     if first >= stop:
         return None
     n_left = np.arange(first + 1, stop + 1)
-    n_right = n - n_left
+    n_left_f = n_left.astype(np.float64)  # exactly what an int64 / int64 divides by
+    n_right_f = n - n_left_f
     margin = 2 * n_pos - n
     parent_term = margin**2 / n
     block = max(1, SPLIT_SCAN_CELLS // n)
     best: tuple[int, float, float, int] | None = None
     for f0 in range(0, p, block):
-        rows = seg[f0 : f0 + block]
-        xs = np.take_along_axis(XT[f0 : f0 + block], rows, axis=1)
+        xs = vals[f0 : f0 + block]
         # class-count margins of the children, exact in int64
-        left = 2 * np.cumsum(pos[rows], axis=1)[:, first:stop] - n_left
-        right = margin - left
-        gains = left * left / n_left + right * right / n_right - parent_term
+        left = np.cumsum(labs[f0 : f0 + block], axis=1)[:, first:stop]
+        left *= 2
+        left -= n_left
+        # a margin (at most n in size) is an exact double and its square rounds
+        # once either way: the bits of left * left / n_left + right * right / n_right
+        gains = left.astype(np.float64)
+        right = margin - gains
+        gains *= gains
+        gains /= n_left_f
+        right *= right
+        right /= n_right_f
+        gains += right
+        gains -= parent_term
         lo, hi = xs[:, first:stop], xs[:, first + 1 : stop + 1]
         mids = lo + hi
         mids *= 0.5  # rounds exactly as / 2 does
-        gains[~((lo < mids) & (mids < hi))] = -np.inf
+        # the values are finite, so these are the negated comparisons
+        shut = lo >= mids
+        shut |= mids >= hi
+        gains[shut] = -np.inf
         k = np.argmax(gains, axis=1)  # first max = lowest threshold
         top = gains[np.arange(k.size), k]
         j = int(np.argmax(top))  # first max = lowest feature
@@ -224,19 +242,23 @@ def _scan(
     return best
 
 
-def _partition(seg: np.ndarray, left_rows: np.ndarray, go_left: np.ndarray) -> None:
-    """Reorder every list of seg in place: left_rows first, each side keeping its order.
+def _partition(tables: list[np.ndarray], left_rows: np.ndarray, go_left: np.ndarray) -> None:
+    """Split a node's block of every table in place into its children's blocks.
 
-    ``go_left`` is an all-False scratch mask over the N rows and is left that way.
+    Each table is the node's contiguous (p, n) block; ``tables[0]`` holds the
+    index of the row at each position. Afterwards the block's memory holds the
+    left child's (p, n_left) block of ``left_rows`` and then the right child's
+    block, each row keeping its order. ``go_left`` is an all-False scratch mask
+    over the N rows and is left that way.
     """
-    p, n = seg.shape
-    n_left = left_rows.size
     go_left[left_rows] = True
-    mask = go_left[seg].ravel()
+    mask = np.take(go_left, tables[0]).ravel()  # take gathers by int32 faster than []
     go_left[left_rows] = False
-    flat = seg.flatten()  # a copy: seg is a view of the table it is written back to
-    seg[:, :n_left] = flat[np.flatnonzero(mask)].reshape(p, n_left)
-    seg[:, n_left:] = flat[np.flatnonzero(~mask)].reshape(p, n - n_left)
+    to_left, to_right = np.flatnonzero(mask), np.flatnonzero(~mask)
+    for t in tables:
+        flat = t.reshape(-1)  # a view, as the block is contiguous
+        # both gathers finish before the writes, and neither outlives the statement
+        flat[: to_left.size], flat[to_left.size :] = flat[to_left], flat[to_right]
 
 
 def build_tree(d: Dataset, max_depth: int, min_leaf: int = 1) -> DecisionTree:
@@ -253,20 +275,26 @@ def build_tree(d: Dataset, max_depth: int, min_leaf: int = 1) -> DecisionTree:
     XT = np.ascontiguousarray(X.T, dtype=np.float64)
     pos = y == 1
     order = np.argsort(XT, axis=1)  # row f: all rows in ascending order of feature f
+    vals = np.take_along_axis(XT, order, axis=1)
+    del XT
+    labs = pos[order]
+    idx = order.astype(np.int32)
+    del order
+    p = idx.shape[0]
     go_left = np.zeros(X.shape[0], dtype=bool)
 
     def grow(lo: int, hi: int, n_pos: int, depth: int) -> TreeNode:
         node = TreeNode(n_pos=n_pos, n_neg=hi - lo - n_pos)
         if depth >= max_depth or n_pos == 0 or n_pos == hi - lo:
             return node
-        seg = order[:, lo:hi]
-        found = _scan(XT, pos, seg, n_pos, min_leaf)
+        tables = [t.reshape(-1)[p * lo : p * hi].reshape(p, hi - lo) for t in (idx, vals, labs)]
+        found = _scan(tables[1], tables[2], n_pos, min_leaf)
         if found is None:
             return node
         f, t, _, n_left = found
-        left_pos = int(np.count_nonzero(pos[seg[f, :n_left]]))
+        left_pos = int(np.count_nonzero(tables[2][f, :n_left]))
         if depth + 1 < max_depth:  # children at max_depth are leaves and never scanned
-            _partition(seg, seg[f, :n_left], go_left)
+            _partition(tables, tables[0][f, :n_left], go_left)
         node.feature = f
         node.threshold = t
         node.left = grow(lo, lo + n_left, left_pos, depth + 1)

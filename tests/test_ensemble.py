@@ -37,6 +37,7 @@ from nre.ensemble import (
     NREModel,
     TrainConfig,
     _canonical,
+    _model_payload,
     _sigmoid,
     evaluate,
     load_model,
@@ -848,6 +849,13 @@ class TestPersistence:
         path2 = tmp_path / "again.json"
         save_model(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_file_is_the_canonical_payload_with_its_checksum(self, tmp_path, deep):
+        model, path, _ = self.trained(tmp_path, deep=deep)
+        payload = _model_payload(model)
+        payload["checksum"] = hashlib.sha256(_canonical(payload).encode()).hexdigest()
+        assert path.read_text(encoding="utf-8") == _canonical(payload)
 
     def test_truncated_file_is_schema_error(self, tmp_path):
         _, path, _ = self.trained(tmp_path)
