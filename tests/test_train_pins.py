@@ -1,7 +1,8 @@
-"""Pinned training trajectories: the history and final parameters of six small runs.
+"""Pinned training trajectories: the history and final parameters of eight small runs.
 
-The fixture pins the generator's draw order in both batch modes, early stopping
-and a short last minibatch. Regenerate it only from code whose trajectories are
+The fixture pins the generator's draw order in both batch modes, early stopping,
+a short last minibatch and a bank of many rules (a depth-10 tree on noisy data
+grows 49 rules of width 10). Regenerate it only from code whose trajectories are
 known to be right:
 
     PYTHONPATH=src python tests/test_train_pins.py
@@ -32,6 +33,8 @@ CONFIGS = {
         dict(max_depth=6, epochs=20, batch_size=64, learning_rate=0.1, early_stop_patience=2,
              deep=True, seed=6),
     ),
+    "full_depth10": (dict(noise=0.8, seed=5), dict(max_depth=10, epochs=10)),
+    "full_depth10_deep": (dict(noise=0.8, seed=5), dict(max_depth=10, epochs=10, deep=True)),
 }
 
 
