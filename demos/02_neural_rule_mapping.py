@@ -29,11 +29,13 @@ print("  biases:", shallow.b1, " output coefficient c =", shallow.c)
 deep = init_deep_from_rule(rule, tree.feature_set)
 print("\ndeep variant second layer starts as the identity:\n", deep.w2)
 
-# a forward pass shows the min pool picking the least confident unit
+# a forward pass at a point inside the support shows the min pool picking the
+# least confident unit (outside it every unit's ReLU is 0 and none is picked)
 tf = list(tree.feature_set)
-probe = data.features[:1, tf]
+inside = np.flatnonzero(rule_activations(rule, data.features) != 0)[0]
+probe = data.features[inside : inside + 1, tf]
 fp = RuleBank([shallow]).forward(probe)
-print("\nforward at a training point:")
+print("\nforward at a training point inside the rule's support:")
 print("  unit activations:", np.maximum(0.0, shallow.w1 @ probe[0] + shallow.b1))
 print("  pooled unit:", np.argmin(fp.final[0, :, 0]), " value:", fp.scores[0])
 

@@ -7,12 +7,19 @@ the same width, which lets the support grow non-convex during training. The
 min pool routes each sample's gradient through its least confident unit only,
 and samples outside the support contribute exactly zero gradient.
 
-The backward pass finds that unit by an equality mask, ``final == pooled``,
-instead of an argmin over the unit axis. Where two units tie for the minimum on
-a support row the mask holds both; the mask then has more nonzero gradient
-entries than there are support rows with nonzero gradient, and only then does
-the backward pass fall back to the argmin, so a tie still routes to the lowest
-unit index exactly as before.
+Since min_j relu(a_j) = relu(min_j a_j) exactly, the forward pass pools the
+last layer's pre-activations and applies that layer's ReLU to the pooled
+minimum only: a shallow rule computes no ReLU over its units, and a deep rule
+only the first layer's, which its second layer reads.
+
+The backward pass finds the pooled unit by an equality mask, ``final ==
+pooled``, instead of an argmin over the unit axis. It reads the mask on support
+rows only, where the pooled minimum is positive and so equals the minimum
+pre-activation. Where two units tie for the minimum on a support row the mask
+holds both; the mask then has more nonzero gradient entries than there are
+support rows with nonzero gradient, and only then does the backward pass fall
+back to the argmin, so a tie still routes to the lowest unit index exactly as
+before.
 
 All rules of a model are computed together by a :class:`RuleBank`, which lays
 them out as fixed-width padded layers over one flat parameter vector, the way
@@ -122,8 +129,8 @@ class BankPass(NamedTuple):
     """One bank forward pass over N rows: everything its backward pass needs."""
 
     scores: np.ndarray  # (N,) summed rule outputs
-    pooled: np.ndarray  # (R, N) pooled minimum; 0 outside the rule's support
-    final: np.ndarray  # (R, H, N) last-layer activations, +inf at padded units
+    pooled: np.ndarray  # (R, N) ReLU of final's minimum over units; 0 outside the support
+    final: np.ndarray  # (R, H, N) last layer before its ReLU, +inf at padded units
     act1: np.ndarray | None  # (R, H, N) first-layer activations of deep rules
     X_t: np.ndarray  # (N, q) the rows the pass ran on
     work: dict | None  # the pool the arrays came from, for backward's temporaries too
@@ -198,14 +205,14 @@ class RuleBank:
             scores_out = _temp(work, "scores", cells[2:])
         act1 = np.matmul(self.W1, X_t.T, out=act1_out)
         act1 += self.B1[:, :, None]
-        np.maximum(act1, 0.0, out=act1)
         final = act1
         if self.deep:
+            np.maximum(act1, 0.0, out=act1)
             final = np.matmul(self.W2, act1, out=final_out)
             final += self.B2[:, :, None]
-            np.maximum(final, 0.0, out=final)
         final[self._pad] = np.inf
         pooled = final.min(axis=1, out=pooled_out)
+        np.maximum(pooled, 0.0, out=pooled)  # min_j relu(a_j) = relu(min_j a_j)
         scores = np.matmul(self.c, pooled, out=scores_out)
         return BankPass(scores, pooled, final, act1 if self.deep else None, X_t, work)
 
@@ -221,18 +228,17 @@ class RuleBank:
         cells, rows, work = fp.final.shape, fp.pooled.shape, {} if fp.work is None else fp.work
         np.matmul(fp.pooled, upstream, out=self._gc)
         inside = np.greater(fp.pooled, 0.0, out=_temp(work, "inside", rows, bool))
-        g = _temp(work, "g", rows)  # upstream * c on support rows, +0.0 elsewhere
-        g.fill(0.0)
-        np.multiply(upstream, self.c[:, None], out=g, where=inside)
+        g = np.multiply(upstream, self.c[:, None], out=_temp(work, "g", rows))
+        g *= inside  # upstream * c on support rows, a zero of either sign elsewhere
         live = np.not_equal(g, 0.0, out=_temp(work, "live", rows, bool))
         route = np.equal(fp.final, fp.pooled[:, None, :], out=_temp(work, "route", cells, bool))
         route &= live[:, None, :]
         G = _temp(work, "G", cells)
-        G.fill(0.0)
         if np.count_nonzero(route) == np.count_nonzero(live):
-            np.copyto(G, g[:, None, :], where=route)
+            np.multiply(route, g[:, None, :], out=G)
         else:
             # a tie on a support row (or a NaN or all-inf column): lowest index wins
+            G.fill(0.0)
             argmin = np.argmin(fp.final, axis=1)
             np.put_along_axis(G, argmin[:, None, :], g[:, None, :], axis=1)
         if self.deep:

@@ -10,6 +10,11 @@ including its gradient with respect to the input point.
 found each row's pooled unit with an argmin over the unit axis; the bank now
 routes by an equality mask, and the tests require bit-identical gradients.
 
+``reference_bank_forward`` is the rule bank's forward pass as it was when it
+applied the last layer's ReLU to every unit and then pooled; the bank now pools
+the pre-activations and applies the ReLU to the minimum, and the tests require
+equal pooled values, scores and gradients.
+
 ``reference_sigmoid`` is the logistic function as two masked halves, the way
 ``nre.ensemble._sigmoid`` computed it before it became one ``np.where``; the
 tests require the same bits on every input that is not NaN.
@@ -130,6 +135,17 @@ def reference_sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def reference_bank_forward(bank: RuleBank, X_t: np.ndarray) -> BankPass:
+    """Every rule of the bank on every row of X_t: ReLU on every unit, then the min pool."""
+    act1 = np.maximum(bank.W1 @ X_t.T + bank.B1[:, :, None], 0.0)
+    final = act1
+    if bank.deep:
+        final = np.maximum(bank.W2 @ act1 + bank.B2[:, :, None], 0.0)
+    final[bank._pad] = np.inf
+    pooled = final.min(axis=1)
+    return BankPass(bank.c @ pooled, pooled, final, act1 if bank.deep else None, X_t, None)
 
 
 def reference_bank_backward(bank: RuleBank, fp: BankPass, upstream: np.ndarray):

@@ -23,7 +23,7 @@ from nre.neural import (
 )
 from nre.rules import ConjunctiveRule, Literal, extract_rules, rule_activations
 from nre.tree import build_tree
-from reference_oracle import backward, forward, reference_bank_backward
+from reference_oracle import backward, forward, reference_bank_backward, reference_bank_forward
 
 
 def kink_distant_probe(rng, n, p=3, delta=1e-3):
@@ -212,7 +212,13 @@ class TestForward:
                 # the bank uses matrix-matrix BLAS, the oracle matrix-vector;
                 # last-ulp summation differences are expected
                 assert fp.scores[i] == pytest.approx(tr.value, rel=1e-12, abs=1e-12)
-                assert np.argmin(fp.final[0, :, i]) == tr.argmin_index
+                pooled = (tr.acts2 if deep else tr.acts1)[tr.argmin_index]
+                assert fp.pooled[0, i] == pytest.approx(pooled, rel=1e-12, abs=1e-12)
+                # final holds pre-activations; off the support (pooled == 0,
+                # whatever c's sign) the oracle's post-ReLU units tie at 0
+                if pooled > 0:
+                    assert np.argmin(fp.final[0, :, i]) == tr.argmin_index
+            assert fp.pooled.any()
 
 
 class TestBackward:
@@ -335,6 +341,15 @@ def tie_prone_rules(rng, deep, n_rules, q, dyadic):
     return rules
 
 
+def tie_prone_bank(rng, deep, n_rules, n_rows, dyadic):
+    """A bank of ``tie_prone_rules`` over 1-3 features and rows to run it on."""
+    q = int(rng.integers(1, 4))
+    bank = RuleBank(tie_prone_rules(rng, deep, n_rules, q, dyadic))
+    X = rng.integers(-6, 7, size=(n_rows, q)) / 4.0 if dyadic else rng.normal(size=(n_rows, q))
+    X[rng.random(n_rows) < 0.2] *= 40.0  # far rows, mostly outside every support
+    return bank, X
+
+
 class TestMaskRouting:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -350,10 +365,8 @@ class TestMaskRouting:
         self, seed, deep, dyadic, n_rules, n_rows, broken_columns, reuse
     ):
         rng = np.random.default_rng(seed)
-        q = int(rng.integers(1, 4))
-        bank = RuleBank(tie_prone_rules(rng, deep, n_rules, q, dyadic))
-        X = rng.integers(-6, 7, size=(n_rows, q)) / 4.0 if dyadic else rng.normal(size=(n_rows, q))
-        X[rng.random(n_rows) < 0.2] *= 40.0  # far rows, mostly outside every support
+        bank, X = tie_prone_bank(rng, deep, n_rules, n_rows, dyadic)
+        q = X.shape[1]
         work = dirty = None
         if reuse:  # a pool left by a pass over another row count, then scribbled over
             n_other = int(rng.integers(1, 300))
@@ -369,7 +382,7 @@ class TestMaskRouting:
             final, H = fp.final.copy(), bank.B1.shape[1]
             final[rng.integers(n_rules), :, rng.integers(n_rows)] = np.inf
             final[rng.integers(n_rules), rng.integers(H), rng.integers(n_rows)] = np.nan
-            fp = fp._replace(pooled=final.min(axis=1), final=final)
+            fp = fp._replace(pooled=np.maximum(final.min(axis=1), 0.0), final=final)
         support = fp.pooled > 0.0
         if (np.count_nonzero(fp.final == fp.pooled[:, None, :], axis=1)[support] > 1).any():
             event("tie on a support row")
@@ -383,6 +396,35 @@ class TestMaskRouting:
         if reuse:  # every array came from the pool, a buffer replaced only when too small
             assert fp.work is work and work.keys() == dirty.keys()
             assert all(work[k] is dirty[k] or work[k].size > dirty[k].size for k in dirty)
+
+
+class TestPoolBeforeReLU:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        deep=st.booleans(),
+        dyadic=st.booleans(),
+        n_rules=st.integers(1, 6),
+        n_rows=st.integers(1, 300),
+    )
+    def test_matches_relu_then_pool_reference(self, seed, deep, dyadic, n_rules, n_rows):
+        """Pooling before the last ReLU gives the values and gradient of ReLU, then pool.
+
+        ``np.array_equal`` takes -0.0 and +0.0 as equal: where every unit of a
+        rule is at or below 0 on a row, that row's pooled value, and a gradient
+        entry whose every term is zero, may be a zero of the other sign.
+        """
+        rng = np.random.default_rng(seed)
+        bank, X = tie_prone_bank(rng, deep, n_rules, n_rows, dyadic)
+        got, want = bank.forward(X), reference_bank_forward(bank, X)
+        if not (want.pooled > 0.0).any(axis=0).all():
+            event("row outside every support")
+        assert np.array_equal(got.pooled, want.pooled)
+        assert np.array_equal(got.scores, want.scores)
+        assert np.array_equal(got.scores >= 0, want.scores >= 0)
+        upstream = rng.normal(size=n_rows)
+        grad = bank.backward(got, upstream).copy()
+        assert np.array_equal(grad, reference_bank_backward(bank, want, upstream))
 
 
 class TestWorkPool:
