@@ -179,23 +179,19 @@ def _loss_and_error(scores, labels):
     return float(loss), float(np.mean(np.where(scores >= 0.0, 1, -1) != labels))
 
 
-def _epoch_history(model, X_train, y_train, order, work):
+def _epoch_history(model, X_train, y_train, full, work):
     """The training loss and error, and with full batches the next step's pass.
 
-    Given the next epoch's ``order``, one forward pass over X_train in that
-    order serves both; without one, ``bank.scores`` scores X_train. Either
-    draws its arrays from the ``work`` pool. A rule-less model scores its
-    ``constant_score`` and has no pass.
+    With ``full`` batches one forward pass over X_train serves both; without,
+    ``bank.scores`` scores X_train. Either draws its arrays from the ``work``
+    pool. A rule-less model scores its ``constant_score`` and has no pass.
     """
     if not model.rules:
         return None, _loss_and_error(np.full(y_train.size, model.constant_score), y_train)
-    bank = model.bank
-    if order is None:
-        return None, _loss_and_error(bank.scores(X_train, work), y_train)
-    fp = bank.forward(X_train.take(order, axis=0), work)
-    scores = np.empty_like(fp.scores)
-    scores[order] = fp.scores
-    return fp, _loss_and_error(scores, y_train)
+    if not full:
+        return None, _loss_and_error(model.bank.scores(X_train, work), y_train)
+    fp = model.bank.forward(X_train, work)
+    return fp, _loss_and_error(fp.scores, y_train)
 
 
 def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
@@ -212,9 +208,10 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
     no rules and warns: its rule-less model scores the root's margin, and its
     run is epoch 0 alone, with one history row over all rows.
 
-    One epoch loop serves both batch modes, and epoch 0 takes no step. Each
-    epoch steps through batch-sized slices of a permutation drawn at the end
-    of the epoch before; a full batch is one step. Every pass of the run,
+    One epoch loop serves both batch modes, and epoch 0 takes no step. A
+    minibatch epoch steps through batch-sized slices of a permutation it draws
+    first; a full batch is one step on the rows in training order, so ``seed``
+    reaches it only through the validation split. Every pass of the run,
     step, validation and history, draws its arrays from one ``work`` pool.
 
     A non-finite training loss raises FloatingPointError naming the epoch.
@@ -265,6 +262,7 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
     best_val, best_params, best_epoch, stale = np.inf, bank.params, cfg.epochs, 0
     # epoch 0 takes no step: the baseline row, and a rule-less model's only one
     for epoch in range(cfg.epochs + 1 if rules else 1):
+        order = np.arange(n_train) if full or not epoch else rng.permutation(n_train)
         for start in range(0, n_train if epoch else 0, batch):
             idx = order[start : start + batch]
             if not full:  # take is several times faster than X_train[idx]
@@ -274,8 +272,7 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
         # validation before the history pass, which the next full-batch step runs on
         val = ({"val_loss": _loss_and_error(bank.scores(X_val, work), y_val)[0]}
                if n_val and epoch else {})
-        order = rng.permutation(n_train)
-        fp, (loss, err) = _epoch_history(model, X_train, y_train, order if full else None, work)
+        fp, (loss, err) = _epoch_history(model, X_train, y_train, full, work)
         if not np.isfinite(loss):
             raise FloatingPointError(f"training diverged at epoch {epoch}: loss {loss}")
         model.history.append((epoch, loss, err))
@@ -294,13 +291,26 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
     return model
 
 
+def _real_array(x, what: str) -> np.ndarray:
+    """``x`` as a float64 array; input numpy does not hold as bools, integers
+    or floats (text, complex, objects), or ragged rows, is a DataError."""
+    try:
+        a = np.asarray(x)
+    except ValueError as e:  # ragged rows
+        raise DataError(f"{what} are not an array of numbers: {e}") from e
+    if a.dtype.kind not in "biuf":
+        raise DataError(f"{what} have dtype {a.dtype}, expected real numbers")
+    return a.astype(np.float64, copy=False)
+
+
 def nre_score(m: NREModel, x) -> float:
     """Ensemble score of one raw point: one bank pass over one row.
 
     The score has the bits of ``nre_score_batch`` on that one row. A point
-    holding a NaN or an infinity, in any column, is rejected with DataError.
+    holding a NaN or an infinity, in any column, or values numpy does not hold
+    as bools, integers or floats (text, complex), is rejected with DataError.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _real_array(x, "point values")
     if x.shape != m.standardization.means.shape:
         raise DataError(f"point has shape {x.shape}, model expects {m.standardization.means.shape}")
     if not np.isfinite(x).all():
@@ -316,9 +326,11 @@ def nre_score(m: NREModel, x) -> float:
 def nre_score_batch(m: NREModel, features: np.ndarray) -> np.ndarray:
     """Ensemble scores of raw rows: standardize, then sum all rule outputs.
 
-    A row holding a NaN or an infinity is rejected with DataError.
+    A row holding a NaN or an infinity, rows of unequal length, or values
+    numpy does not hold as bools, integers or floats (text, complex), is
+    rejected with DataError.
     """
-    X = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    X = np.atleast_2d(_real_array(features, "features"))
     std = m.standardization
     if X.ndim != 2 or X.shape[1] != std.means.shape[0]:
         raise DataError(f"features have shape {X.shape}, model expects {std.means.size} columns")

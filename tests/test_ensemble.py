@@ -314,7 +314,8 @@ class TestTrainPipeline:
 
     @pytest.mark.parametrize("deep", [False, True])
     def test_full_batch_step_runs_on_its_history_pass_rows(self, monkeypatch, deep):
-        """One gather per full-batch epoch: the step's rows are its history pass's."""
+        """No gather in a full-batch epoch: every pass runs on the one training
+        rows array, and the step's pass is its history pass."""
         gathered, stepped = [], []
         real_forward, real_backward = RuleBank.forward, RuleBank.backward
 
@@ -333,6 +334,22 @@ class TestTrainPipeline:
                   TrainConfig(max_depth=3, epochs=epochs, deep=deep))
         assert len(gathered) == epochs + 1 and len(stepped) == epochs
         assert all(s is g for s, g in zip(stepped, gathered))
+        assert all(g is gathered[0] for g in gathered)
+
+    @pytest.mark.parametrize("deep", [False, True])
+    @pytest.mark.parametrize("depth, epochs", [(4, 20), (10, 10)])
+    def test_full_batch_training_ignores_seed(self, depth, epochs, deep):
+        """Without early stopping, a full batch draws nothing from ``seed``;
+        minibatches still step through a seeded permutation."""
+        d = gen_rotated_xor(300, 30.0, 0.8, 5)
+
+        def train(seed, **kw):
+            cfg = TrainConfig(max_depth=depth, epochs=epochs, deep=deep, seed=seed, **kw)
+            m = nre_train(d, cfg)
+            return m.bank.params.tobytes(), m.history
+
+        assert train(0) == train(1)
+        assert train(0, batch_size=64) != train(1, batch_size=64)
 
     @pytest.mark.parametrize("deep", [False, True])
     @pytest.mark.parametrize("batch_size", [None, 64])
@@ -653,6 +670,35 @@ class TestPointScore:
         model = leaf_model([make_random_rule(np.random.default_rng(35), True)], 4)
         with pytest.raises(DataError, match="point has shape"):
             nre_score(model, np.zeros(shape))
+
+    @staticmethod
+    def two_column_model():
+        rule = make_random_rule(np.random.default_rng(37), True, tree_features=(0, 1))
+        return leaf_model([rule], 2)
+
+    @pytest.mark.parametrize("x, match", [
+        (["a", "b"], "dtype <U1"),
+        ([1 + 2j, 3], "dtype complex128"),
+        (np.array([1.0, 2.0], dtype=np.complex128), "dtype complex128"),
+        ([None, 1.0], "dtype object"),
+        ([2**70, 0], "dtype object"),  # an int beyond 64 bits
+    ])
+    def test_value_that_is_not_a_real_number_is_data_error(self, x, match):
+        model = self.two_column_model()
+        with pytest.raises(DataError, match=match):
+            nre_score(model, x)
+        with pytest.raises(DataError, match=match):
+            nre_score_batch(model, [x])
+
+    def test_ragged_rows_are_data_error(self):
+        model = self.two_column_model()
+        with pytest.raises(DataError, match="not an array of numbers"):
+            nre_score_batch(model, [[1.0, 2.0], [3.0]])
+
+    def test_bool_and_int_points_score_as_floats(self):
+        model = self.two_column_model()
+        assert nre_score(model, [True, False]) == nre_score(model, [1.0, 0.0])
+        assert nre_score(model, np.array([2, -1], dtype=np.int8)) == nre_score(model, [2.0, -1.0])
 
     def test_one_forward_and_no_scores_call(self, monkeypatch):
         calls = []
