@@ -18,10 +18,10 @@ feature keeping its order, so children are never sorted again. The tables take
 one moved table on top of them). A node's scan evaluates every candidate of
 every feature with whole-array numpy operations, in feature blocks of at most
 ``SPLIT_SCAN_CELLS`` table cells, which bounds each temporary of the scan to
-about 2 MB however wide or tall the data.
-Child class-count margins are exact int64, so the gains, thresholds and
-tie-breaks (lowest feature, then lowest threshold) are those of a per-feature
-scan that sorts at every node.
+about 256 KB however wide or tall the data. Class counts are int32, which the
+int32 row index already bounds, and child class-count margins are exact doubles,
+so the gains, thresholds and tie-breaks (lowest feature, then lowest threshold)
+are those of a per-feature scan that sorts at every node.
 """
 from __future__ import annotations
 
@@ -32,8 +32,11 @@ import numpy as np
 from .data import Dataset
 from .errors import DataError
 
-# Table cells (features x node rows) a split scan handles at once: 2 MB per temporary.
-SPLIT_SCAN_CELLS = 1 << 18
+# Table cells (features x node rows) a split scan handles at once: 256 KB per temporary.
+SPLIT_SCAN_CELLS = 1 << 15
+
+# Most rows build_tree takes: its tables index rows, and the scan counts them, in int32.
+MAX_ROWS = np.iinfo(np.int32).max
 
 # Deepest tree build_tree grows. Growth, predict, to_dict/from_dict and the model
 # file's JSON coding each recurse once per level and failed past 989-994 levels on
@@ -197,14 +200,16 @@ def _scan(
     ``n_pos`` counts the node's positives. Candidate ``i`` puts the first
     ``i + 1`` entries of each row on the left, and counts only if its midpoint
     lies strictly between the two values (equal values and adjacent doubles have
-    none). Returns (feature, threshold, gain, left child size).
+    none). Each feature block computes its midpoint at its best candidate only,
+    which is the block's answer when it exists; when it does not, the block
+    shuts every candidate without a midpoint and searches again. Returns
+    (feature, threshold, gain, left child size).
     """
     p, n = vals.shape
     first, stop = min_leaf - 1, n - min_leaf  # candidates leaving min_leaf on each side
     if first >= stop:
         return None
-    n_left = np.arange(first + 1, stop + 1)
-    n_left_f = n_left.astype(np.float64)  # exactly what an int64 / int64 divides by
+    n_left_f = np.arange(first + 1, stop + 1, dtype=np.float64)
     n_right_f = n - n_left_f
     margin = 2 * n_pos - n
     parent_term = margin**2 / n
@@ -212,13 +217,14 @@ def _scan(
     best: tuple[int, float, float, int] | None = None
     for f0 in range(0, p, block):
         xs = vals[f0 : f0 + block]
-        # class-count margins of the children, exact in int64
-        left = np.cumsum(labs[f0 : f0 + block], axis=1)[:, first:stop]
-        left *= 2
-        left -= n_left
-        # a margin (at most n in size) is an exact double and its square rounds
-        # once either way: the bits of left * left / n_left + right * right / n_right
-        gains = left.astype(np.float64)
+        # class-count margins of the children: counts below 2^31 (build_tree's row
+        # bound) and margins of at most n in size are exact in int32 and float64
+        gains = np.cumsum(labs[f0 : f0 + block], axis=1, dtype=np.int32)[:, first:stop]
+        gains = gains.astype(np.float64)
+        gains *= 2
+        gains -= n_left_f
+        # a margin is an exact double and its square rounds once either way:
+        # the bits of left * left / n_left + right * right / n_right
         right = margin - gains
         gains *= gains
         gains /= n_left_f
@@ -226,19 +232,27 @@ def _scan(
         right /= n_right_f
         gains += right
         gains -= parent_term
-        lo, hi = xs[:, first:stop], xs[:, first + 1 : stop + 1]
-        mids = lo + hi
-        mids *= 0.5  # rounds exactly as / 2 does
-        # the values are finite, so these are the negated comparisons
-        shut = lo >= mids
-        shut |= mids >= hi
-        gains[shut] = -np.inf
-        k = np.argmax(gains, axis=1)  # first max = lowest threshold
-        top = gains[np.arange(k.size), k]
-        j = int(np.argmax(top))  # first max = lowest feature
-        gain = float(top[j])
-        if gain > 0.0 and (best is None or gain > best[2]):
-            best = (f0 + j, float(mids[j, k[j]]), gain, first + int(k[j]) + 1)
+        # the first maximum in row-major order: lowest feature, then lowest threshold
+        r, k = divmod(int(np.argmax(gains)), gains.shape[1])
+        if not (gains[r, k] > 0.0 and (best is None or gains[r, k] > best[2])):
+            continue  # shutting candidates can only lower the maximum
+        lo, hi = xs[r, first + k], xs[r, first + k + 1]
+        mid = (lo + hi) * 0.5  # rounds exactly as / 2 does
+        if not lo < mid < hi:
+            # the first maximum has no midpoint (equal values or adjacent doubles):
+            # shut every candidate without one and search again
+            lo, hi = xs[:, first:stop], xs[:, first + 1 : stop + 1]
+            mids = lo + hi
+            mids *= 0.5
+            # the values are finite, so these are the negated comparisons
+            shut = lo >= mids
+            shut |= mids >= hi
+            gains[shut] = -np.inf
+            r, k = divmod(int(np.argmax(gains)), gains.shape[1])
+            if not (gains[r, k] > 0.0 and (best is None or gains[r, k] > best[2])):
+                continue
+            mid = mids[r, k]
+        best = (f0 + r, float(mid), float(gains[r, k]), first + k + 1)
     return best
 
 
@@ -272,6 +286,8 @@ def build_tree(d: Dataset, max_depth: int, min_leaf: int = 1) -> DecisionTree:
     if min_leaf < 1:
         raise DataError("min_leaf must be >= 1")
     X, y = d.features, d.labels
+    if X.shape[0] > MAX_ROWS:
+        raise DataError(f"build_tree takes at most {MAX_ROWS} rows (2^31 - 1, int32 row ids)")
     XT = np.ascontiguousarray(X.T, dtype=np.float64)
     pos = y == 1
     order = np.argsort(XT, axis=1)  # row f: all rows in ascending order of feature f

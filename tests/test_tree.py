@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from nre.errors import DataError
 from nre import tree as tree_module
 from nre.tree import (
     MAX_DEPTH,
+    MAX_ROWS,
     SPLIT_SCAN_CELLS,
     DecisionTree,
     TreeNode,
@@ -130,6 +132,22 @@ class TestBestSplit:
             else:
                 assert doubled[0] == base[0] and doubled[1] == base[1]
                 assert doubled[2] == pytest.approx(2 * base[2])
+
+    def test_best_candidate_without_midpoint_falls_back_to_a_split(self):
+        # The top gain, 4 at n_left = 2, sits between two zeros; the only
+        # candidate with a midpoint is 0 | 1.
+        X = np.array([[0.0], [0.0], [0.0], [1.0]])
+        y = np.array([1, 1, -1, -1])
+        assert best_split(X, y) == (0, 0.5, 4 / 3)
+
+    def test_best_candidate_between_adjacent_doubles_falls_back_to_a_split(self):
+        # The top gain, 4.8 at n_left = 2, sits between 1 and 1 + ULP, whose
+        # midpoint rounds to 1 (the brute-force oracle splits there). The only
+        # candidate with a midpoint is 1 + ULP | 2: margins 0 and -1, so the gain
+        # is 0/4 + 1/1 - 1/5.
+        X = np.array([[1.0], [1.0], [1.0 + ULP], [1.0 + ULP], [2.0]])
+        y = np.array([1, 1, -1, -1, -1])
+        assert best_split(X, y) == (0, 1.5, 0.8)
 
     def test_min_leaf_filters_candidates(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0]])
@@ -369,6 +387,16 @@ class TestBuildTree:
             build_tree(d, max_depth=0)
         with pytest.raises(DataError):
             build_tree(d, max_depth=2, min_leaf=0)
+
+    def test_rows_past_the_int32_bound_rejected(self):
+        # zero strides: 2^31 rows of one feature that allocate nothing
+        n, as_strided = MAX_ROWS + 1, np.lib.stride_tricks.as_strided
+        d = SimpleNamespace(
+            features=as_strided(np.zeros(1), shape=(n, 1), strides=(0, 0)),
+            labels=as_strided(np.ones(1, dtype=np.int64), shape=(n,), strides=(0,)),
+        )
+        with pytest.raises(DataError, match=f"at most {MAX_ROWS} rows"):
+            build_tree(d, max_depth=2)
 
     def test_pretty_one_line_per_node(self):
         d = xor9_dataset()
