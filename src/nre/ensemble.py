@@ -20,7 +20,6 @@ from .data import Dataset, StandardizationParams, standardize_apply, standardize
 from .errors import DataError, ModelFormatError
 from .neural import (
     AdamState,
-    BankPass,
     NeuralRule,
     RuleBank,
     adam_step,
@@ -152,46 +151,32 @@ def logistic_loss(u, y):
     return loss, dloss
 
 
-def model_loss_and_grad(bank: RuleBank, fp: BankPass, labels: np.ndarray, l2: float = 0.0):
-    """Mean logistic loss of the summed rule outputs plus optional L2 shrinkage.
+def model_loss_and_grad(bank: RuleBank, X_t: np.ndarray, labels: np.ndarray, l2: float = 0.0,
+                        work: dict | None = None, grad: bool = True):
+    """Mean logistic loss and error rate of the summed rule outputs on the rows
+    of X_t, the tree-feature columns, and with ``grad`` the loss's gradient.
 
-    ``fp`` is ``bank.forward`` over the batch's tree-feature columns at the
-    current parameters. Returns the objective value and its gradient over
-    ``bank.params``; the gradient is ``bank.grad``, which the next call
-    overwrites. With shrinkage l2=rho the gradient is the data gradient plus
-    2*rho*params.
+    The rows run in passes of ``bank.pass_rows`` drawn from ``work``, a fresh
+    pool for the call when None; only the scores outlive a pass. With
+    ``grad`` each pass's backward adds into a new gradient vector over
+    ``bank.params``; without, no backward runs and the gradient is None. The
+    loss and error are of the data alone; with shrinkage l2=rho the gradient
+    adds 2*rho*params. Returns ``(loss, error, grad)``.
     """
-    losses, dscores = logistic_loss(fp.scores, labels)
-    grad = bank.backward(fp, dscores / fp.scores.size)
-    loss = float(losses.mean())
-    if l2 > 0.0:
-        grad += 2.0 * l2 * bank.params
-        loss += l2 * float(bank.params @ bank.params)
-    return loss, grad
-
-
-def _loss_and_error(scores, labels):
-    """Mean logistic loss and error rate of ``scores`` against the labels.
-
-    The loss is the one ``logistic_loss`` computes, without its derivative.
-    """
+    work = {} if work is None else work
+    n, rows = labels.size, bank.pass_rows
+    scores = np.empty(n)
+    total = np.zeros_like(bank.params) if grad else None
+    for start in range(0, n, rows):
+        fp = bank.forward(X_t[start : start + rows], work)
+        scores[start : start + rows] = fp.scores
+        if grad:
+            _, dscores = logistic_loss(fp.scores, labels[start : start + rows])
+            total += bank.backward(fp, dscores / n)
+    if grad and l2 > 0.0:
+        total += 2.0 * l2 * bank.params
     loss = np.logaddexp(0.0, -(scores * labels)).mean()
-    return float(loss), float(np.mean(np.where(scores >= 0.0, 1, -1) != labels))
-
-
-def _epoch_history(model, X_train, y_train, full, work):
-    """The training loss and error, and with full batches the next step's pass.
-
-    With ``full`` batches one forward pass over X_train serves both; without,
-    ``bank.scores`` scores X_train. Either draws its arrays from the ``work``
-    pool. A rule-less model scores its ``constant_score`` and has no pass.
-    """
-    if not model.rules:
-        return None, _loss_and_error(np.full(y_train.size, model.constant_score), y_train)
-    if not full:
-        return None, _loss_and_error(model.bank.scores(X_train, work), y_train)
-    fp = model.bank.forward(X_train, work)
-    return fp, _loss_and_error(fp.scores, y_train)
+    return float(loss), float(np.mean(np.where(scores >= 0.0, 1, -1) != labels)), total
 
 
 def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
@@ -201,8 +186,9 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
     ("standardize", "tree", "rules", "neural_init", one "train_epoch" per epoch
     from the epoch-0 baseline on, then "done"), so callers can observe the
     pipeline and write checkpoints. It must not modify the model: with full
-    batches, an epoch's history pass is the next step's pass. With early
-    stopping, payloads of epochs 1 on also carry ``val_loss``.
+    batches, an epoch's history row and the next step's gradient come from
+    one loop over the training rows. With early stopping, payloads of epochs
+    1 on also carry ``val_loss``.
 
     The stage list holds for every model. A tree that is a single leaf gives
     no rules and warns: its rule-less model scores the root's margin, and its
@@ -211,8 +197,10 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
     One epoch loop serves both batch modes, and epoch 0 takes no step. A
     minibatch epoch steps through batch-sized slices of a permutation it draws
     first; a full batch is one step on the rows in training order, so ``seed``
-    reaches it only through the validation split. Every pass of the run,
-    step, validation and history, draws its arrays from one ``work`` pool.
+    reaches it only through the validation split. Every step, validation loss
+    and history row is one ``model_loss_and_grad`` call, which runs its rows in
+    passes of ``bank.pass_rows`` drawn from one ``work`` pool, so no pass
+    grows with the rows.
 
     A non-finite training loss raises FloatingPointError naming the epoch.
     Early stopping restores the epoch with the lowest validation loss and cuts
@@ -254,7 +242,7 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
     X_train, y_train = X_t[perm[n_val:]], y[perm[n_val:]]
     n_train = N - n_val
     batch = min(cfg.batch_size or (n_train if n_train <= FULL_BATCH_LIMIT else 256), n_train)
-    full = batch == n_train  # one step per epoch, on the pass of the history row before it
+    full = batch == n_train  # one step per epoch, on the gradient of the history row before it
 
     state = AdamState.for_params(bank.params.size, alpha=cfg.learning_rate)
     work = {}  # the run's one buffer pool
@@ -262,17 +250,23 @@ def nre_train(d: Dataset, cfg: TrainConfig, trace=None) -> NREModel:
     best_val, best_params, best_epoch, stale = np.inf, bank.params, cfg.epochs, 0
     # epoch 0 takes no step: the baseline row, and a rule-less model's only one
     for epoch in range(cfg.epochs + 1 if rules else 1):
-        order = np.arange(n_train) if full or not epoch else rng.permutation(n_train)
-        for start in range(0, n_train if epoch else 0, batch):
-            idx = order[start : start + batch]
-            if not full:  # take is several times faster than X_train[idx]
-                fp = bank.forward(X_train.take(idx, axis=0), work)
-            _, grad = model_loss_and_grad(bank, fp, y_train[idx], l2=cfg.l2)
+        if full and epoch:  # the gradient of the previous epoch's history row
             adam_step(bank.params, grad, state)
-        # validation before the history pass, which the next full-batch step runs on
-        val = ({"val_loss": _loss_and_error(bank.scores(X_val, work), y_val)[0]}
+        elif epoch:
+            order = rng.permutation(n_train)
+            for start in range(0, n_train, batch):
+                idx = order[start : start + batch]  # take is several times faster than X_train[idx]
+                grad = model_loss_and_grad(bank, X_train.take(idx, axis=0), y_train[idx], cfg.l2, work)[2]
+                adam_step(bank.params, grad, state)
+        val = ({"val_loss": model_loss_and_grad(bank, X_val, y_val, work=work, grad=False)[0]}
                if n_val and epoch else {})
-        fp, (loss, err) = _epoch_history(model, X_train, y_train, full, work)
+        if rules:  # with full batches, the history row's loop also gives the next step
+            loss, err, grad = model_loss_and_grad(bank, X_train, y_train, cfg.l2, work,
+                                                  grad=full and epoch < cfg.epochs)
+        else:  # the rule-less model's one row, of its constant score on every row
+            s = model.constant_score
+            loss = float(np.logaddexp(0.0, -(s * y_train)).mean())
+            err = float(np.mean((1 if s >= 0.0 else -1) != y_train))
         if not np.isfinite(loss):
             raise FloatingPointError(f"training diverged at epoch {epoch}: loss {loss}")
         model.history.append((epoch, loss, err))

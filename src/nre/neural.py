@@ -35,15 +35,16 @@ import numpy as np
 
 from .rules import ConjunctiveRule
 
-# Bytes of one scoring pass, counted per row over its arrays: the (R, H) unit
-# activations (twice for deep rules), the R pooled minima and the score. A call
-# allocates one pass and writes every chunk into it. On a 2-vCPU Xeon, 20k-row
-# calls on an 8-rule, 4-slot deep model (1795 rows a pass) took 0 minor faults
-# on 370 of 372 calls and 2.43 ms (best call), against 411-1021 faults on every
-# call and 3.54 ms when each array had 1 MiB and a short last chunk its own
-# pass. On a 48-rule, 8-slot model the best call took 37.8, 34.8 and 37.0 ms
-# at 512 KiB, 1 MiB and 2 MiB (80, 160 and 320 rows a pass).
+# Bytes of one bank pass, counted per row over its arrays: the (R, H) unit
+# activations (twice for deep rules), the R pooled minima and the score. Scoring
+# and training run their rows in passes of ``RuleBank.pass_rows``, drawn from
+# one pool. On a 2-vCPU Xeon, 20k-row score calls on an 8-rule, 4-slot deep
+# model (1795 rows a pass) took 0 minor faults on 370 of 372 calls and 2.43 ms
+# (best call), against 411-1021 faults on every call and 3.54 ms when each
+# array had 1 MiB and a short last chunk its own pass. On a 48-rule, 8-slot
+# model the best call took 37.8, 34.8 and 37.0 ms at 512 KiB, 1 MiB and 2 MiB.
 SCORE_PASS_BYTES = 1 << 20
+MIN_PASS_ROWS = 64  # at 6 rows a pass, a 626-rule, 16-unit deep bank trained 2.0-2.5x slower
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults).
 ADAM_BETA1 = 0.9
@@ -144,7 +145,9 @@ class RuleBank:
     (R, H, q), B1 (R, H), then for deep rules W2 (R, H, H) and B2 (R, H), then
     c (R); ``grad`` has the same layout. Padded entries are zero and padded
     units are set to +inf before the min pool, so they never win it: they get
-    exactly zero gradient, zero L2 and a zero Adam step, and stay zero.
+    exactly zero gradient, zero L2 and a zero Adam step, and stay zero. Rows
+    run in passes of ``pass_rows``: SCORE_PASS_BYTES over a row's bytes, at
+    least MIN_PASS_ROWS.
 
     The bank copies the given rules; ``rules`` holds new rules whose arrays are
     views into ``params``. A deep and a shallow rule cannot share a bank.
@@ -168,6 +171,7 @@ class RuleBank:
             if self.deep and (r.w2.shape != (h, h) or r.b2.shape != (h,)):
                 raise ValueError(f"second layer must be {h} x {h} weights and {h} biases")
         R, H = len(rules), max(widths, default=0)
+        self.pass_rows = max(MIN_PASS_ROWS, SCORE_PASS_BYTES // (8 * (R * H * (1 + self.deep) + R + 1)))
         shapes = [(R, H, q), (R, H)] + ([(R, H, H), (R, H)] if self.deep else []) + [(R,)]
         size = sum(math.prod(s) for s in shapes)
         self.params = np.zeros(size)
@@ -252,15 +256,13 @@ class RuleBank:
         return self.grad
 
     def scores(self, X_t: np.ndarray, work: dict | None = None) -> np.ndarray:
-        """Summed rule outputs of each row of X_t, in passes of at most SCORE_PASS_BYTES.
+        """Summed rule outputs of each row of X_t, in passes of ``pass_rows``.
 
         Every chunk's pass is drawn from ``work``, a fresh pool for the call
         when None, so a call allocates at most one pass.
         """
         work = {} if work is None else work
-        out = np.empty(X_t.shape[0])
-        R, H = self.B1.shape
-        rows = max(1, SCORE_PASS_BYTES // (8 * (R * H * (1 + self.deep) + R + 1)))
+        out, rows = np.empty(X_t.shape[0]), self.pass_rows
         for start in range(0, X_t.shape[0], rows):
             out[start : start + rows] = self.forward(X_t[start : start + rows], work).scores
         return out

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nre.data import Dataset
 from nre.ensemble import model_loss_and_grad
-from nre.neural import SCORE_PASS_BYTES, NeuralRule, RuleBank
+from nre.neural import NeuralRule, RuleBank
 from nre.tree import build_tree
 from reference_oracle import backward, forward
 
@@ -81,13 +81,6 @@ def make_random_rule(rng, deep, H=3, q=2, tree_features=(0, 2)):
     return NeuralRule(tuple(tree_features), w1, b1, w2, b2, c)
 
 
-def score_pass_rows(bank):
-    """Rows of one ``RuleBank.scores`` pass: SCORE_PASS_BYTES over a row's float64s,
-    its (R, H) unit activations (twice for deep rules), R pooled minima and score."""
-    R, H = bank.B1.shape
-    return max(1, SCORE_PASS_BYTES // (8 * (R * H * (1 + bank.deep) + R + 1)))
-
-
 def rule_pass(n, X):
     """One rule's bank forward pass over the rows of X (all features, tree features gathered)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -120,7 +113,7 @@ def fd_loss_gradient(bank, X_t, y, h=1e-5):
         saved = bank.params[i]
         for sign in (+1, -1):
             bank.params[i] = saved + sign * h
-            fd[i] += sign * model_loss_and_grad(bank, bank.forward(X_t), y)[0]
+            fd[i] += sign * model_loss_and_grad(bank, X_t, y, grad=False)[0]
         bank.params[i] = saved
     return fd / (2 * h)
 

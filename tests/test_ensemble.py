@@ -23,7 +23,6 @@ from conftest import (
     make_random_rule,
     oracle_gradient,
     random_dataset,
-    score_pass_rows,
 )
 from nre.cli import _write_dataset_csv, main
 from nre.data import (
@@ -286,7 +285,7 @@ class TestTrainPipeline:
         d = easy_dataset(np.random.default_rng(3), n=300)
         epochs = 7
         model = nre_train(d, TrainConfig(max_depth=3, epochs=epochs, batch_size=batch_size))
-        assert 300 <= score_pass_rows(model.bank)  # history scoring is one pass
+        assert 300 <= model.bank.pass_rows  # history scoring is one pass
         if batch_size is None:
             # the history pass of each epoch is the next step's forward pass
             assert rows == [300] * (epochs + 1)
@@ -298,9 +297,10 @@ class TestTrainPipeline:
         """batch_size=None: one step per epoch up to FULL_BATCH_LIMIT rows, 256 a step above."""
         steps = []
 
-        def counted(bank, fp, labels, l2=0.0):
-            steps.append(labels.size)
-            return model_loss_and_grad(bank, fp, labels, l2=l2)
+        def counted(bank, X_t, labels, l2=0.0, work=None, grad=True):
+            if grad:  # a full batch's step gradient comes with the history row before it
+                steps.append(labels.size)
+            return model_loss_and_grad(bank, X_t, labels, l2, work, grad)
 
         limit, epochs = 300, 3  # above 256, so a minibatch epoch takes two steps
         monkeypatch.setattr("nre.ensemble.FULL_BATCH_LIMIT", limit)
@@ -314,8 +314,9 @@ class TestTrainPipeline:
 
     @pytest.mark.parametrize("deep", [False, True])
     def test_full_batch_step_runs_on_its_history_pass_rows(self, monkeypatch, deep):
-        """No gather in a full-batch epoch: every pass runs on the one training
-        rows array, and the step's pass is its history pass."""
+        """No gather in a full-batch epoch: every pass runs on a view of the one
+        training rows array, and backward runs on every history pass but the
+        last epoch's, whose gradient no step would use."""
         gathered, stepped = [], []
         real_forward, real_backward = RuleBank.forward, RuleBank.backward
 
@@ -329,12 +330,16 @@ class TestTrainPipeline:
 
         monkeypatch.setattr(RuleBank, "forward", forward)
         monkeypatch.setattr(RuleBank, "backward", backward)
+        monkeypatch.setattr("nre.neural.SCORE_PASS_BYTES", 0)
+        monkeypatch.setattr("nre.neural.MIN_PASS_ROWS", 128)  # 300 rows: 128 + 128 + 44
         epochs = 7
         nre_train(easy_dataset(np.random.default_rng(3), n=300),
                   TrainConfig(max_depth=3, epochs=epochs, deep=deep))
-        assert len(gathered) == epochs + 1 and len(stepped) == epochs
+        assert [g.shape[0] for g in gathered] == [128, 128, 44] * (epochs + 1)
+        assert len(stepped) == 3 * epochs
         assert all(s is g for s, g in zip(stepped, gathered))
-        assert all(g is gathered[0] for g in gathered)
+        assert gathered[0].base is not None
+        assert all(g.base is gathered[0].base for g in gathered)
 
     @pytest.mark.parametrize("deep", [False, True])
     @pytest.mark.parametrize("depth, epochs", [(4, 20), (10, 10)])
@@ -448,10 +453,11 @@ class TestTrainPipeline:
 
 
 def oracle_loss_and_grad(rules, X, y):
-    """Loss and gradient vector summed from single-point oracle passes."""
+    """Loss, error rate and gradient vector summed from single-point oracle passes."""
     scores = np.array([sum(forward(r, x).value for r in rules) for x in X])
     losses, dscores = logistic_loss(scores, y)
-    return float(losses.mean()), oracle_gradient(rules, X, dscores / len(X))
+    error = float(np.mean(np.where(scores >= 0.0, 1, -1) != y))
+    return float(losses.mean()), error, oracle_gradient(rules, X, dscores / len(X))
 
 
 class TestWholeModelGradient:
@@ -470,7 +476,7 @@ class TestWholeModelGradient:
                 X = kink_distant_points(rng, rules, count=5, p=3)
                 y = np.where(rng.random(5) > 0.5, 1, -1)
                 bank = RuleBank(rules)
-                grad = model_loss_and_grad(bank, bank.forward(X), y)[1].copy()
+                grad = model_loss_and_grad(bank, X, y)[2]
                 fd = fd_loss_gradient(bank, X, y)
                 scale = np.maximum(np.abs(fd), 1e-8)
                 assert np.max(np.abs(grad - fd) / scale) < 1e-4
@@ -481,13 +487,14 @@ class TestWholeModelGradient:
         X = rng.normal(size=(20, 3))
         y = np.where(rng.random(20) > 0.5, 1, -1)
         rho = 0.37
-        g0 = model_loss_and_grad(bank, bank.forward(X), y, l2=0.0)[1].copy()
-        _, g1 = model_loss_and_grad(bank, bank.forward(X), y, l2=rho)
+        g0 = model_loss_and_grad(bank, X, y, l2=0.0)[2]
+        g1 = model_loss_and_grad(bank, X, y, l2=rho)[2]
         np.testing.assert_allclose(g1 - g0, 2 * rho * bank.params, atol=1e-12)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), deep=st.booleans())
     def test_matches_reference_oracle_sums(self, seed, deep):
+        """The sums over passes of a few rows: N spans several, often with a short last one."""
         rng = np.random.default_rng(seed)
         q = int(rng.integers(1, 4))
         tf = tuple(sorted(rng.choice(4, size=q, replace=False).tolist()))
@@ -497,11 +504,42 @@ class TestWholeModelGradient:
         ]
         X = rng.normal(0.0, 1.5, size=(int(rng.integers(1, 30)), 4))
         y = np.where(rng.random(X.shape[0]) > 0.5, 1, -1)
-        bank = RuleBank(rules)
-        loss, grad = model_loss_and_grad(bank, bank.forward(X[:, list(tf)]), y)
-        ref_loss, ref_grad = oracle_loss_and_grad(rules, X, y)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("nre.neural.SCORE_PASS_BYTES", 0)
+            mp.setattr("nre.neural.MIN_PASS_ROWS", int(rng.integers(1, 8)))
+            bank = RuleBank(rules)
+        loss, error, grad = model_loss_and_grad(bank, X[:, list(tf)], y)
+        ref_loss, ref_error, ref_grad = oracle_loss_and_grad(rules, X, y)
         assert abs(loss - ref_loss) <= 1e-12
+        assert error == ref_error
         np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_peak_memory_does_not_grow_with_rows(self, deep):
+        """A depth-10 bank of 185 rules of 10 units: the loss and gradient over
+        4000 rows peak no higher than over 2000 plus a few float64s per added
+        row (the scores and the loss's temporaries), and within a few passes'
+        arrays. One pass over 4000 rows would hold (R, H, N) arrays of 59 MB each."""
+        d = gen_rotated_xor(2000, 30.0, 0.8, 11)
+        model = nre_train(d, TrainConfig(max_depth=10, epochs=1, deep=deep))
+        bank = model.bank
+        X = standardize_apply(d, model.standardization).features[:, list(bank.tree_features)]
+        X2, y2 = np.vstack([X, X]), np.concatenate([d.labels, d.labels])
+        fp = bank.forward(X[: bank.pass_rows])
+        pass_bytes = sum(a.nbytes for a in fp[:4] if a is not None)
+        peaks = []
+        for rows, labels in [(X, d.labels), (X2, y2)]:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                model_loss_and_grad(bank, rows, labels)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert bank.B1.shape == (185, 10)
+        per_row = 4 * 8 * (X2.shape[0] - X.shape[0])
+        assert peaks[1] <= peaks[0] + per_row + (16 << 10)  # and 16 KiB of small objects
+        assert peaks[1] <= 3 * pass_bytes
 
 
 class TestScoring:
@@ -550,7 +588,7 @@ class TestScoring:
         rng = np.random.default_rng(18)
         d = random_dataset(rng, 200, 3)
         model = nre_train(d, TrainConfig(max_depth=3, epochs=10, deep=True, seed=1))
-        n = 2 * score_pass_rows(model.bank) + 7  # spans three score chunks
+        n = 2 * model.bank.pass_rows + 7  # spans three score chunks
         probes = rng.normal(0.0, 2.0, size=(n, 3))
         batch = nre_score_batch(model, probes)
         points = [nre_score(model, x) for x in probes]
@@ -586,7 +624,7 @@ class TestScorePasses:
         rng = np.random.default_rng(29)  # xor-fullbatch's shape: 8 deep rules of 4 units, q = 2
         rules = [make_random_rule(rng, True, H=4, q=2, tree_features=(0, 1)) for _ in range(8)]
         model = leaf_model(rules, 2)
-        X = rng.normal(size=(5 * score_pass_rows(model.bank) + 7, 2))  # five passes, a short one
+        X = rng.normal(size=(5 * model.bank.pass_rows + 7, 2))  # five passes, a short one
         want = nre_score_batch(model, X)
         gc.collect()
         tracemalloc.start()
@@ -610,7 +648,7 @@ class TestScorePasses:
         widths = rng.integers(1, 9, size=int(rng.integers(16, 49)))
         rules = [make_random_rule(rng, deep, H=int(h), q=q, tree_features=range(q)) for h in widths]
         model = leaf_model(rules, q)
-        rows = score_pass_rows(model.bank)
+        rows = model.bank.pass_rows
         edges = st.sampled_from([rows, rows + 1, 2 * rows, 3 * rows + 7])
         X = rng.normal(0.0, 2.0, size=(data.draw(st.integers(1, 3 * rows + 7) | edges, "N"), q))
         got = model.bank.scores(X)

@@ -10,9 +10,9 @@ from conftest import (
     random_tree,
     rule_kink_distance,
     rule_pass,
-    score_pass_rows,
 )
 from nre.neural import (
+    MIN_PASS_ROWS,
     SCORE_PASS_BYTES,
     AdamState,
     NeuralRule,
@@ -469,7 +469,7 @@ class TestScoreChunks:
         """Every chunk's pass, the short last one too, is drawn from one pool."""
         rng = np.random.default_rng(23)
         bank = RuleBank([make_random_rule(rng, deep, H=3, q=2) for _ in range(4)])
-        rows = score_pass_rows(bank)
+        rows = bank.pass_rows
         X = rng.normal(size=(3 * rows + 5, 2))  # three full chunks and a short one
         passes, real_forward = [], RuleBank.forward
 
@@ -489,6 +489,26 @@ class TestScoreChunks:
         assert all(fp.work is first.work for fp in passes)
         for fp in passes[1:]:  # the pass's four arrays
             assert all(a is None or np.shares_memory(a, b) for a, b in zip(fp[:4], first[:4]))
+
+    def test_small_passes_take_the_floor(self, monkeypatch):
+        """A 626-rule, 16-unit deep bank (a depth-16 tree's) has 6 rows of
+        SCORE_PASS_BYTES: its passes take MIN_PASS_ROWS instead."""
+        rng = np.random.default_rng(24)
+        bank = RuleBank([make_random_rule(rng, True, H=16, q=2) for _ in range(626)])
+        one = bank.forward(rng.normal(size=(1, 2)))
+        row_bytes = sum(a.nbytes for a in one[:4] if a is not None)
+        assert SCORE_PASS_BYTES // row_bytes == 6
+        assert bank.pass_rows == MIN_PASS_ROWS
+        X = rng.normal(size=(MIN_PASS_ROWS + 3, 2))
+        passes, real_forward = [], RuleBank.forward
+
+        def forward(bank, X_t, work=None):
+            passes.append(X_t.shape[0])
+            return real_forward(bank, X_t, work)
+
+        monkeypatch.setattr(RuleBank, "forward", forward)
+        bank.scores(X)
+        assert passes == [MIN_PASS_ROWS, 3]
 
 
 class TestConvexSupport:
